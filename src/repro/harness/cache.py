@@ -64,6 +64,29 @@ def config_fingerprint(config: SystemConfig) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
+def run_payload(
+    config: SystemConfig,
+    benchmark: str,
+    ops_per_processor: int,
+    seed: int = 0,
+    trace_seed: int = 0,
+    warmup_fraction: float = 0.4,
+) -> Dict:
+    """Everything that determines one run's outcome but the code version.
+
+    The full configuration enters recursively via ``dataclasses.asdict``,
+    so no field can be left out of a key by omission.
+    """
+    return {
+        "benchmark": benchmark,
+        "ops_per_processor": int(ops_per_processor),
+        "seed": int(seed),
+        "trace_seed": int(trace_seed),
+        "warmup_fraction": float(warmup_fraction),
+        "config": dataclasses.asdict(config),
+    }
+
+
 def cache_key(
     config: SystemConfig,
     benchmark: str,
@@ -78,15 +101,11 @@ def cache_key(
     ``version`` defaults to :func:`code_version`; pass an explicit value
     to pin or test invalidation behaviour.
     """
-    payload = {
-        "benchmark": benchmark,
-        "ops_per_processor": int(ops_per_processor),
-        "seed": int(seed),
-        "trace_seed": int(trace_seed),
-        "warmup_fraction": float(warmup_fraction),
-        "config": dataclasses.asdict(config),
-        "code_version": version if version is not None else code_version(),
-    }
+    payload = run_payload(config, benchmark, ops_per_processor, seed=seed,
+                          trace_seed=trace_seed,
+                          warmup_fraction=warmup_fraction)
+    payload["code_version"] = version if version is not None \
+        else code_version()
     if benchmark.startswith("trace:"):
         # The name embeds a *path*, not content: fold the file's digest
         # in so editing the trace invalidates cached results.

@@ -3,8 +3,8 @@
 The figure experiments overlap heavily — Figures 7, 8 and 10 all need
 the same baseline runs, and Figure 9 reuses Figure 8's 512 B runs. The
 cache keys a run by everything that determines its outcome: the
-workload, trace length, seed, warm-up, and the configuration fields the
-machine honours.
+workload, trace length, seed, warm-up, and every configuration field
+(:func:`run_key`).
 
 A :class:`RunCache` can additionally be backed by an on-disk
 :class:`~repro.harness.cache.DiskCache`; in-memory misses then consult
@@ -17,41 +17,31 @@ runner (:mod:`repro.harness.parallel`) preloads a ``RunCache`` through
 
 from __future__ import annotations
 
+import json
 from typing import Dict, Optional, Tuple
 
-from repro.harness.cache import DiskCache, cache_key
+from repro.harness.cache import DiskCache, cache_key, run_payload
 from repro.system.config import SystemConfig
 from repro.system.simulator import RunResult, run_workload
 from repro.workloads.benchmarks import build_benchmark
 from repro.workloads.trace import MultiTrace
 
 
-def config_key(config: SystemConfig) -> Tuple:
-    """Hashable signature of the configuration fields that affect a run."""
-    return (
-        config.cgct_enabled,
-        config.geometry.region_bytes,
-        config.rca_sets,
-        config.rca_ways,
-        config.two_bit_response,
-        config.line_response_visible,
-        config.self_invalidation,
-        config.prefer_empty_victims,
-        config.prefetch_region_filter,
-        config.dram_speculation_filter,
-        config.region_state_prefetch,
-        config.regionscout_enabled,
-        config.regionscout_crh_entries,
-        config.regionscout_nsrt_entries,
-        config.jetty_enabled,
-        config.jetty_entries,
-        config.owner_prediction,
-        config.prefetch_enabled,
-        config.timing.store_stall_fraction,
-        config.timing.bus_occupancy_system_cycles,
-        config.timing.mc_occupancy_cpu_cycles,
-        config.timing.perturbation_cycles,
-        config.topology.num_processors,
+def run_key(
+    config: SystemConfig,
+    benchmark: str,
+    ops_per_processor: int,
+    seed: int = 0,
+    trace_seed: int = 0,
+    warmup_fraction: float = 0.4,
+) -> str:
+    """In-memory key of one run: :func:`cache_key`'s canonical payload,
+    every configuration field included, without the code version (one
+    process runs one version of the code)."""
+    return json.dumps(
+        run_payload(config, benchmark, ops_per_processor, seed=seed,
+                    trace_seed=trace_seed, warmup_fraction=warmup_fraction),
+        sort_keys=True, default=str,
     )
 
 
@@ -81,7 +71,7 @@ class RunCache:
         sanitizer_factory=None,
     ) -> None:
         self._traces: Dict[Tuple, MultiTrace] = {}
-        self._runs: Dict[Tuple, RunResult] = {}
+        self._runs: Dict[str, RunResult] = {}
         self.disk = disk
         self.telemetry_factory = telemetry_factory
         self.sanitizer_factory = sanitizer_factory
@@ -116,8 +106,8 @@ class RunCache:
         perturbation methodology does) selects the generated trace.
         """
         t_seed = 0 if trace_seed is None else trace_seed
-        key = self._key(benchmark, config, ops_per_processor, seed, t_seed,
-                        warmup_fraction)
+        key = run_key(config, benchmark, ops_per_processor, seed=seed,
+                      trace_seed=t_seed, warmup_fraction=warmup_fraction)
         if key not in self._runs:
             result = None
             disk_key = None
@@ -170,15 +160,9 @@ class RunCache:
     ) -> None:
         """Insert an externally computed result (e.g. from a worker)."""
         t_seed = 0 if trace_seed is None else trace_seed
-        key = self._key(benchmark, config, ops_per_processor, seed, t_seed,
-                        warmup_fraction)
+        key = run_key(config, benchmark, ops_per_processor, seed=seed,
+                      trace_seed=t_seed, warmup_fraction=warmup_fraction)
         self._runs[key] = result
-
-    @staticmethod
-    def _key(benchmark: str, config: SystemConfig, ops_per_processor: int,
-             seed: int, trace_seed: int, warmup_fraction: float) -> Tuple:
-        return (benchmark, ops_per_processor, seed, trace_seed,
-                warmup_fraction, config_key(config))
 
     def clear(self) -> None:
         """Drop every in-memory entry (the disk store is untouched)."""

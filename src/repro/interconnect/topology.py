@@ -12,7 +12,9 @@ controller picks the critical-word transfer and direct-request latencies
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
+from typing import Tuple
 
 from repro.common.errors import ConfigurationError
 
@@ -121,6 +123,20 @@ class Topology:
     def processor_distance(self, requestor: int, responder: int) -> Distance:
         """Distance class between two processors (cache-to-cache transfers)."""
         return self.distance(requestor, self.chip_of(responder))
+
+    @functools.lru_cache(maxsize=None)
+    def distance_matrix(self) -> Tuple[Tuple[Distance, ...], ...]:
+        """:meth:`distance` for every (processor, controller chip) pair.
+
+        Indexed ``[processor][chip]``; ``[requestor][chip_of(responder)]``
+        is :meth:`processor_distance`. The topology is frozen and
+        hashable, so the matrix is computed once per distinct shape.
+        """
+        chips = range(self.num_chips)
+        return tuple(
+            tuple(self.distance(p, c) for c in chips)
+            for p in range(self.num_processors)
+        )
 
     # ------------------------------------------------------------------
     # Validation helpers

@@ -314,23 +314,18 @@ class Machine:
         # (requestor × controller chip, and requestor × responder).
         transfer = self.latency.transfer_cycles
         direct = self.latency.direct_request_cycles
-        procs = range(self.topology.num_processors)
-        chips = range(self.topology.num_chips)
-        self._transfer_to_mc = [
-            [transfer[self.topology.distance(p, c)] for c in chips]
-            for p in procs
+        distances = self.topology.distance_matrix()
+        responder_chips = [
+            p // self.topology.cores_per_chip
+            for p in range(self.topology.num_processors)
         ]
-        self._direct_to_mc = [
-            [direct[self.topology.distance(p, c)] for c in chips]
-            for p in procs
-        ]
+        self._transfer_to_mc = [[transfer[d] for d in row] for row in distances]
+        self._direct_to_mc = [[direct[d] for d in row] for row in distances]
         self._transfer_to_proc = [
-            [transfer[self.topology.processor_distance(p, r)] for r in procs]
-            for p in procs
+            [row[c] for c in responder_chips] for row in self._transfer_to_mc
         ]
         self._direct_to_proc = [
-            [direct[self.topology.processor_distance(p, r)] for r in procs]
-            for p in procs
+            [row[c] for c in responder_chips] for row in self._direct_to_mc
         ]
         # Presence bitmasks, maintained from the residency callbacks:
         # line → bitmask of processors whose L2 holds it, and region →
@@ -675,10 +670,10 @@ class Machine:
         == 0) as ``(state.index << 1) | empty``, the exact pair one
         observer's snoop outcome depends on — and hoisted machine-wide
         alongside the local-transition table and per-pid RCA set lists.
-        The per-region class masks are rebuilt from the arrays so they
-        are trustworthy from any starting state. This runs at
-        construction and again whenever :meth:`attach_telemetry`
-        replaces the protocols.
+        The per-region class masks are rebuilt from the tracker masks
+        and the entries they point at, so they are trustworthy from any
+        starting state. This runs at construction and again whenever
+        :meth:`attach_telemetry` replaces the protocols.
         """
         cgct_nodes = [n for n in self.nodes if n.rca is not None]
         # Region → home controller in closed form (the interleave unit
@@ -758,18 +753,25 @@ class Machine:
         self._inline_region_snoop = inline
         self._region_classes.clear()
         if inline:
+            # Rebuilt from the tracker masks, so the cost is one visit
+            # per tracked (region, processor) pair: nothing at
+            # construction, O(tracked regions) when telemetry re-derives.
             classes = self._region_classes
-            for node in cgct_nodes:
-                node_bit = 1 << node.proc_id
-                for entries in node.rca._sets:
-                    for entry in entries.values():
-                        c = (entry.state.index << 1) | (
-                            1 if entry.line_count == 0 else 0
-                        )
-                        cls = classes.get(entry.region)
-                        if cls is None:
-                            cls = classes[entry.region] = {}
-                        cls[c] = cls.get(c, 0) | node_bit
+            rca_sets = self._rca_sets_by_pid
+            set_mask = self._rca_set_mask
+            set_bits = self._rca_set_bits
+            for region, trackers in self._region_trackers.items():
+                cls = classes[region] = {}
+                index = region & set_mask
+                tag = region >> set_bits
+                while trackers:
+                    bit = trackers & -trackers
+                    trackers ^= bit
+                    entry = rca_sets[bit.bit_length() - 1][index][tag]
+                    c = (entry.state.index << 1) | (
+                        1 if entry.line_count == 0 else 0
+                    )
+                    cls[c] = cls.get(c, 0) | bit
 
     # ------------------------------------------------------------------
     # Accounting views over the flat arrays

@@ -8,7 +8,11 @@ from repro.harness.extensions import (
     _topology_for,
 )
 from repro.harness.experiments import RunOptions, run_experiment
-from repro.harness.runcache import RunCache, config_key
+from repro.harness.runcache import RunCache, run_key
+
+
+def config_key(config):
+    return run_key(config, "barnes", 1_000)
 
 
 class TestAblationConfigs:
