@@ -827,9 +827,11 @@ class Machine:
     def load_miss(self, proc: int, address: int, now: int) -> int:
         """Load continuation once the L1-D lookup has already missed.
 
-        The run-ahead streak (:meth:`TraceProcessor.run_ahead`) probes the
-        L1 inline and calls this directly, so the lookup — with its miss
-        counter and LRU touch — happens exactly once either way.
+        The L1 probe and the miss path are separate methods so that the
+        miss path is its own entry point: the benchmark's layer probes
+        (``bench/probes.py``) wrap ``load_miss``, ``store_miss`` and
+        ``ifetch_miss`` to count and time the misses apart from the
+        L1 hits.
         """
         if self._tracer is not None:
             self._tracer.begin(proc, "load", address, now)

@@ -12,14 +12,19 @@ confidence intervals.
 from __future__ import annotations
 
 import heapq
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.common.errors import SimulationError
 from repro.system.config import SystemConfig
 from repro.system.machine import ExternalRequestStats, Machine, OracleCategory
-from repro.system.processor import NO_BOUND, TraceProcessor
+from repro.system.processor import TraceProcessor
 from repro.workloads.trace import MultiTrace
+
+#: Sample boundary used when no telemetry is attached: larger than any
+#: simulated clock can reach, so the loop's sampling check never fires.
+NO_BOUND = sys.maxsize
 
 
 @dataclass(frozen=True)
@@ -122,7 +127,8 @@ class Simulator:
     ``scheduler`` selects the event-ordering implementation: ``"heap"``
     (the default, O(log P) per operation) or ``"linear"`` (the original
     O(P) ``min()`` scan). Both produce bit-identical results; the linear
-    scheduler exists as the reference for the equivalence tests.
+    scheduler exists as the reference for the equivalence tests, and it
+    runs every hook below in the same order as the heap loop.
 
     ``snoop`` selects the machine's phase-1 snoop implementation:
     ``"bitmask"`` (the default holder-bitmask fast path) or ``"walk"``
@@ -142,8 +148,7 @@ class Simulator:
     immediately before each processor step issues, in global step order.
     The conformance harness (:mod:`repro.conformance`) uses it to learn
     the exact interleaving the scheduler chose, so the golden model can
-    replay the same access order. Observed runs take a dedicated loop;
-    the plain hot loops are untouched and pay nothing.
+    replay the same access order.
 
     ``tracer`` (a :class:`~repro.obs.simtrace.SimTracer`) records causal
     per-transaction spans — every memory access with its lookup, snoop,
@@ -152,23 +157,16 @@ class Simulator:
     or without it (equivalence-tested), and a machine without a tracer
     pays one ``is None`` check per instrumented site.
 
-    ``runahead`` selects the heap scheduler's streak behaviour:
-    ``"streak"`` (the default) lets a popped processor keep stepping —
-    L1 hits through an inlined private path — for as long as its next
-    issue key stays below the heap top, i.e. exactly as long as the
-    reference order would pop it again anyway; ``"off"`` single-steps
-    every pop (the reference path for the run-ahead equivalence
-    battery). Both produce bit-identical results. Run-ahead applies to
-    the plain and telemetry heap loops only: observed runs disable it
-    (the observer must see every step boundary before it issues), the
-    sanitizer loop keeps its own audit stride, and the linear scheduler
-    is itself a reference path.
+    Telemetry, the sanitizer and the step observer are ``is not None``
+    hooks on the one run loop of each scheduler, and the tracer hooks
+    the machine, so attaching any of them leaves the stepping code the
+    same.
     """
 
     def __init__(
         self, config: SystemConfig, seed: int = 0, telemetry=None,
         scheduler: str = "heap", sanitizer=None, step_observer=None,
-        snoop: str = "bitmask", tracer=None, runahead: str = "streak",
+        snoop: str = "bitmask", tracer=None,
     ) -> None:
         if scheduler not in ("heap", "linear"):
             raise SimulationError(
@@ -178,16 +176,11 @@ class Simulator:
             raise SimulationError(
                 f"snoop must be 'walk' or 'bitmask', got {snoop!r}"
             )
-        if runahead not in ("streak", "off"):
-            raise SimulationError(
-                f"runahead must be 'streak' or 'off', got {runahead!r}"
-            )
         self.config = config
         self.seed = seed
         self.telemetry = telemetry
         self.scheduler = scheduler
         self.snoop = snoop
-        self.runahead = runahead
         self.sanitizer = sanitizer
         self.step_observer = step_observer
         self.tracer = tracer
@@ -262,31 +255,26 @@ class Simulator:
         re-keying or lazy invalidation is needed. O(log P) per operation
         instead of O(P).
 
-        Same-timestamp events are drained as a batch: every entry due at
-        the popped instant is removed first (pops yield ascending proc
-        ids), then each processor is stepped — repeatedly, while its
-        next issue time stays at that instant — before anything is
-        pushed back. The stepping order is provably identical to
-        pop/push-one-at-a-time (a stepped processor re-enters at the
-        same instant only with its own, unchanged proc id, and lower ids
-        are always drained past the instant before higher ids start), so
-        the batch saves the sift-up/sift-down churn of P near-ties at
-        32/64 processors without moving a single step.
+        Each pop runs the hooks in one order: telemetry sample, observer,
+        step, sanitizer audit. Issue times are non-decreasing, so
+        sampling when the next issue crosses a boundary captures exactly
+        the events of the closed window. The observer fires *before*
+        the step issues: while the machine processes access *k*, the
+        observer has already seen exactly ``k + 1`` notifications, so an
+        event sink attached to the machine can attribute every coherence
+        event to the access that produced it.
         """
-        if self.step_observer is not None:
-            # Observed runs fold telemetry, the sanitizer and the
-            # observer into one loop; stepping stays identical.
-            self._run_until_observed(processors, targets)
-            return
-        if self.sanitizer is not None:
-            # Both schedulers step identically, so the checked loop (a
-            # heap loop with a sanitizer stride) serves either setting.
-            self._run_until_checked(processors, targets)
-            return
         if self.scheduler == "linear":
             self._run_until_linear(processors, targets)
             return
         telemetry = self.telemetry
+        sanitizer = self.sanitizer
+        observe = self.step_observer
+        next_sample = (
+            telemetry.next_sample_time if telemetry is not None else NO_BOUND
+        )
+        stride = sanitizer.every if sanitizer is not None else 0
+        budget = stride
         heap = [
             (p.next_time, p.proc_id, p)
             for p in processors if p.index < targets[p.proc_id]
@@ -296,226 +284,13 @@ class Simulator:
         # The re-push key is next_time inlined (clock + gap of the next
         # op) and the continue check is ``index < target`` alone: targets
         # never exceed trace length, so the ``done`` test is subsumed.
-        #
-        # Run-ahead variants: after the popped processor's (mandatory)
-        # step, if its next issue key still undercuts the heap top it
-        # runs a *streak* (TraceProcessor.run_ahead) bounded by that
-        # top key — the streak executes exactly the steps the reference
-        # loop would pop next, so ordering (and every result bit) is
-        # unchanged; only the heap traffic and per-step call chain
-        # disappear. The streak check replaces _drain_same_time: at an
-        # equal-time tie the popped processor keeps stepping while its
-        # (time, pid) key undercuts the top, which is the batch order
-        # the drain produces; remaining same-instant entries pop one at
-        # a time. The streak is entered only when it will run at least
-        # one step, so a pop with no streak (the common case at high
-        # processor counts) costs the reference loop plus two integer
-        # compares. With an empty heap (last active processor) the
-        # streak runs to its target unbounded.
-        if telemetry is None:
-            if self.runahead == "streak":
-                while heap:
-                    issue_time, proc_id, soonest = heappop(heap)
-                    soonest.step()
-                    i = soonest.index
-                    target = targets[proc_id]
-                    if i >= target:
-                        continue
-                    next_time = soonest.clock + soonest._gaps[i]
-                    if heap:
-                        top = heap[0]
-                        top_time = top[0]
-                        if next_time < top_time or (
-                            next_time == top_time and proc_id < top[1]
-                        ):
-                            soonest.run_ahead(top_time, top[1], target)
-                            i = soonest.index
-                            if i >= target:
-                                continue
-                            next_time = soonest.clock + soonest._gaps[i]
-                        heappush(heap, (next_time, proc_id, soonest))
-                    else:
-                        soonest.run_ahead(NO_BOUND, -1, target)
-                return
-            while heap:
-                issue_time, proc_id, soonest = heappop(heap)
-                if heap and heap[0][0] == issue_time:
-                    self._drain_same_time(
-                        heap, heappop, heappush, issue_time, soonest, targets
-                    )
-                    continue
-                soonest.step()
-                i = soonest.index
-                if i < targets[proc_id]:
-                    heappush(
-                        heap,
-                        (soonest.clock + soonest._gaps[i], proc_id, soonest),
-                    )
-            return
-        # Telemetry variant: identical stepping (telemetry must never
-        # perturb the simulation), plus interval sampling. Issue times
-        # are non-decreasing, so sampling when the next issue crosses a
-        # boundary captures exactly the events of the closed window.
-        # One boundary check covers a whole same-timestamp batch:
-        # sampling advances the boundary past the instant, so the
-        # per-entry checks it replaces would all be no-ops. Under
-        # run-ahead the streak is additionally bounded by the next
-        # sample boundary: the streak stops *before* the first issue at
-        # or past it, the processor re-enters the heap as the minimum,
-        # and the sample fires on its re-pop — the same step boundary,
-        # with the same counter values, as the reference loop.
-        next_sample = telemetry.next_sample_time
-        if self.runahead == "streak":
-            while heap:
-                issue_time, proc_id, soonest = heappop(heap)
-                if issue_time >= next_sample:
-                    telemetry.maybe_sample(issue_time)
-                    next_sample = telemetry.next_sample_time
-                soonest.step()
-                i = soonest.index
-                target = targets[proc_id]
-                if i >= target:
-                    continue
-                next_time = soonest.clock + soonest._gaps[i]
-                if heap:
-                    top = heap[0]
-                    top_time = top[0]
-                    if next_time < next_sample and (
-                        next_time < top_time
-                        or (next_time == top_time and proc_id < top[1])
-                    ):
-                        soonest.run_ahead(
-                            top_time, top[1], target, next_sample
-                        )
-                        i = soonest.index
-                        if i >= target:
-                            continue
-                        next_time = soonest.clock + soonest._gaps[i]
-                    heappush(heap, (next_time, proc_id, soonest))
-                else:
-                    if next_time < next_sample:
-                        soonest.run_ahead(NO_BOUND, -1, target, next_sample)
-                        i = soonest.index
-                        if i >= target:
-                            continue
-                        next_time = soonest.clock + soonest._gaps[i]
-                    heappush(heap, (next_time, proc_id, soonest))
-            return
         while heap:
             issue_time, proc_id, soonest = heappop(heap)
             if issue_time >= next_sample:
                 telemetry.maybe_sample(issue_time)
                 next_sample = telemetry.next_sample_time
-            if heap and heap[0][0] == issue_time:
-                self._drain_same_time(
-                    heap, heappop, heappush, issue_time, soonest, targets
-                )
-                continue
-            soonest.step()
-            i = soonest.index
-            if i < targets[proc_id]:
-                heappush(
-                    heap,
-                    (soonest.clock + soonest._gaps[i], proc_id, soonest),
-                )
-
-    @staticmethod
-    def _drain_same_time(heap, heappop, heappush, time_now, first, targets):
-        """Step every processor due at *time_now*, then re-fill the heap.
-
-        Pops every remaining entry keyed *time_now* (ascending proc id)
-        and runs each member — repeatedly while its next issue time
-        stays at *time_now*, which keeps the order exact even for
-        zero-stall operations — before pushing its strictly-later next
-        event. Heap churn drops from 2·k sifts against P entries to k
-        pops plus k pushes done once per instant.
-        """
-        batch = [first]
-        while heap and heap[0][0] == time_now:
-            batch.append(heappop(heap)[2])
-        for p in batch:
-            target = targets[p.proc_id]
-            while True:
-                p.step()
-                i = p.index
-                if i >= target:
-                    break
-                next_time = p.clock + p._gaps[i]
-                if next_time > time_now:
-                    heappush(heap, (next_time, p.proc_id, p))
-                    break
-
-    def _run_until_checked(
-        self, processors: List[TraceProcessor], targets: List[int]
-    ) -> None:
-        """Sanitizer variant: identical stepping plus a periodic audit.
-
-        Kept separate from the plain/telemetry loops so the sanitizer
-        costs nothing when disabled. The sanitizer only reads machine
-        state, so the simulated results stay bit-identical.
-        """
-        telemetry = self.telemetry
-        sanitizer = self.sanitizer
-        stride = sanitizer.every
-        budget = stride
-        heap = [
-            (p.next_time, p.proc_id, p)
-            for p in processors if p.index < targets[p.proc_id]
-        ]
-        heapq.heapify(heap)
-        heappush, heappop = heapq.heappush, heapq.heappop
-        next_sample = telemetry.next_sample_time if telemetry is not None \
-            else None
-        while heap:
-            issue_time, proc_id, soonest = heappop(heap)
-            if next_sample is not None and issue_time >= next_sample:
-                telemetry.maybe_sample(issue_time)
-                next_sample = telemetry.next_sample_time
-            soonest.step()
-            budget -= 1
-            if budget <= 0:
-                sanitizer.check(soonest.clock)
-                budget = stride
-            i = soonest.index
-            if i < targets[proc_id]:
-                heappush(
-                    heap,
-                    (soonest.clock + soonest._gaps[i], proc_id, soonest),
-                )
-
-    def _run_until_observed(
-        self, processors: List[TraceProcessor], targets: List[int]
-    ) -> None:
-        """Observer variant: the checked/telemetry loop plus a per-step
-        ``step_observer(proc_id)`` callback fired *before* the step
-        issues.
-
-        Firing before the step means that while the machine processes
-        access *k*, the observer has already seen exactly ``k + 1``
-        notifications — an event sink attached to the machine can
-        therefore attribute every coherence event to the access that
-        produced it. Stepping order and machine behaviour are identical
-        to the unobserved loops.
-        """
-        telemetry = self.telemetry
-        sanitizer = self.sanitizer
-        observe = self.step_observer
-        stride = sanitizer.every if sanitizer is not None else 0
-        budget = stride
-        heap = [
-            (p.next_time, p.proc_id, p)
-            for p in processors if p.index < targets[p.proc_id]
-        ]
-        heapq.heapify(heap)
-        heappush, heappop = heapq.heappush, heapq.heappop
-        next_sample = telemetry.next_sample_time if telemetry is not None \
-            else None
-        while heap:
-            issue_time, proc_id, soonest = heappop(heap)
-            if next_sample is not None and issue_time >= next_sample:
-                telemetry.maybe_sample(issue_time)
-                next_sample = telemetry.next_sample_time
-            observe(proc_id)
+            if observe is not None:
+                observe(proc_id)
             soonest.step()
             if sanitizer is not None:
                 budget -= 1
@@ -533,25 +308,33 @@ class Simulator:
         self, processors: List[TraceProcessor], targets: List[int]
     ) -> None:
         """The original O(P)-per-step scheduler, kept as the reference
-        implementation for the heap-equivalence tests."""
+        implementation for the heap-equivalence tests. It runs the same
+        hooks as :meth:`_run_until` in the same order."""
         telemetry = self.telemetry
+        sanitizer = self.sanitizer
+        observe = self.step_observer
+        next_sample = (
+            telemetry.next_sample_time if telemetry is not None else NO_BOUND
+        )
+        stride = sanitizer.every if sanitizer is not None else 0
+        budget = stride
         active = [p for p in processors if p.index < targets[p.proc_id]]
-        if telemetry is None:
-            while active:
-                # Earliest next issue time goes first; ties break by ID,
-                # which keeps runs deterministic.
-                soonest = min(active, key=lambda p: p.next_time)
-                soonest.step()
-                if soonest.done or soonest.index >= targets[soonest.proc_id]:
-                    active.remove(soonest)
-            return
-        next_sample = telemetry.next_sample_time
         while active:
+            # Earliest next issue time goes first; ties break by ID,
+            # which keeps runs deterministic.
             soonest = min(active, key=lambda p: p.next_time)
-            if soonest.next_time >= next_sample:
-                telemetry.maybe_sample(soonest.next_time)
+            issue_time = soonest.next_time
+            if issue_time >= next_sample:
+                telemetry.maybe_sample(issue_time)
                 next_sample = telemetry.next_sample_time
+            if observe is not None:
+                observe(soonest.proc_id)
             soonest.step()
+            if sanitizer is not None:
+                budget -= 1
+                if budget <= 0:
+                    sanitizer.check(soonest.clock)
+                    budget = stride
             if soonest.done or soonest.index >= targets[soonest.proc_id]:
                 active.remove(soonest)
 
@@ -635,10 +418,9 @@ def run_workload(
     sanitizer=None,
     snoop: str = "bitmask",
     tracer=None,
-    runahead: str = "streak",
 ) -> RunResult:
     """One-shot convenience: build a simulator, run, return the result."""
     return Simulator(
         config, seed=seed, telemetry=telemetry, sanitizer=sanitizer,
-        snoop=snoop, tracer=tracer, runahead=runahead,
+        snoop=snoop, tracer=tracer,
     ).run(workload, warmup_fraction=warmup_fraction)

@@ -18,8 +18,7 @@ can do in a handful of array passes at load time.
   cycle at which access *i* would issue if every earlier access stalled
   zero cycles. Because stalls are non-negative and gaps are fixed in
   the trace, ``clock + issue_offsets[i] - issue_offsets[j]`` is an exact
-  *lower bound* on when access *i* can issue once access *j* is next —
-  the quantity run-ahead reasoning and workload profiling both need.
+  *lower bound* on when access *i* can issue once access *j* is next.
 
 :func:`predecode_scalar` is the obviously-correct per-record
 shift/mask/accumulate loop, kept as the reference implementation the
@@ -29,9 +28,9 @@ single-record edges.
 
 The hot replay path itself does not take numpy arrays: scalar indexing
 into an ndarray costs ~3x a list index, so :class:`~repro.workloads.trace.Trace`
-exposes cached *list* views (:meth:`~repro.workloads.trace.Trace.replay_lists`,
-:meth:`~repro.workloads.trace.Trace.line_list`) built from these arrays
-once per trace object and shared by every subsequent run.
+exposes a cached *list* view of its records
+(:meth:`~repro.workloads.trace.Trace.replay_lists`) built once per trace
+object and shared by every subsequent run.
 """
 
 from __future__ import annotations

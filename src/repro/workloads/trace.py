@@ -98,14 +98,13 @@ class Trace:
     # Cached replay views
     # ------------------------------------------------------------------
     # The replay loop indexes plain Python lists (scalar ndarray indexing
-    # costs ~3x a list index), and the run-ahead streak wants per-access
-    # line numbers without a shift per step. Both views are pure
-    # functions of the (immutable) arrays, so they are computed once per
-    # Trace object and shared by every TraceProcessor built from it —
-    # perf repeats and multi-config sweeps over one workload stop paying
-    # the conversion inside the timed region. The frozen dataclass still
-    # has a __dict__, which doubles as the memo (object.__setattr__
-    # sidesteps the frozen guard for these derived, invisible fields).
+    # costs ~3x a list index). The lists are a pure function of the
+    # (immutable) arrays, so they are computed once per Trace object and
+    # shared by every TraceProcessor built from it — perf repeats and
+    # multi-config sweeps over one workload stop paying the conversion
+    # inside the timed region. The frozen dataclass still has a
+    # __dict__, which doubles as the memo (object.__setattr__ sidesteps
+    # the frozen guard for this derived, invisible field).
     def replay_lists(self) -> tuple:
         """``(ops, addresses, gaps)`` as plain lists, built once."""
         cached = self.__dict__.get("_replay_lists")
@@ -117,24 +116,6 @@ class Trace:
             )
             object.__setattr__(self, "_replay_lists", cached)
         return cached
-
-    def line_list(self, line_shift: int) -> list:
-        """Per-access line numbers (``address >> line_shift``) as a list.
-
-        Vectorized once per distinct shift (one numpy pass instead of a
-        Python shift per access per run).
-        """
-        cache = self.__dict__.get("_line_lists")
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_line_lists", cache)
-        lines = cache.get(line_shift)
-        if lines is None:
-            lines = np.right_shift(
-                self.addresses, np.uint64(line_shift)
-            ).tolist()
-            cache[line_shift] = lines
-        return lines
 
     @staticmethod
     def from_records(

@@ -15,6 +15,11 @@ def machine():
     return Machine(make_config(cgct=False))
 
 
+def step_to_end(proc):
+    while not proc.done:
+        proc.step()
+
+
 def test_gaps_advance_the_clock(machine):
     trace = trace_of([(TraceOp.LOAD, 0x1000, 100), (TraceOp.LOAD, 0x1000, 50)])
     proc = TraceProcessor(0, trace, machine)
@@ -46,7 +51,7 @@ def test_stall_and_gap_accounting(machine):
         (TraceOp.LOAD, 0x1000, 20),
     ])
     proc = TraceProcessor(0, trace, machine)
-    proc.run_to_completion()
+    step_to_end(proc)
     assert proc.gap_cycles == 30
     assert proc.stall_cycles == 262 + 1
     assert proc.clock == proc.gap_cycles + proc.stall_cycles
@@ -62,5 +67,5 @@ def test_all_op_kinds_dispatch(machine):
         (TraceOp.DCBI, 0x1000, 0),
     ])
     proc = TraceProcessor(0, trace, machine)
-    proc.run_to_completion()
+    step_to_end(proc)
     assert proc.index == 6

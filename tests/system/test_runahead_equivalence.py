@@ -1,117 +1,63 @@
-"""Run-ahead streak execution ≡ one-step-per-pop, bit for bit.
+"""Unobserved run ≡ run with a step observer attached, bit for bit.
 
-The scheduler optimisation lets the popped processor keep stepping while
-its next ready key ``(time, proc_id)`` stays strictly below the heap
-top, skipping the push/pop round-trip for private-access streaks. The
-original pop-one-step loop is kept as ``runahead="off"`` precisely so
-these tests can assert the two are indistinguishable — same cycles,
-same stats, same latencies, same telemetry, same traced transactions —
-across every observation mode the simulator supports.
+The production run loop is one heap pop → ``step()`` → push; telemetry,
+tracer, sanitizer and step observer are ``is not None`` hooks on that
+same loop, so watching a run must not change which code runs in it.
+These tests attach a step observer and assert that nothing observable
+moves — same cycles, same stats, same latencies, same telemetry — and
+that the observer is called exactly once per trace operation.
+
+The class and test names date from when the heap loop ran processors
+ahead in streaks and observed runs took a separate one-step-per-pop
+path; the cases are the ones that exercised that split (the
+heap-vs-linear reference comparisons live in
+``test_scheduler_equivalence.py``).
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.interconnect.topology import Topology
-from repro.obs.simtrace import SimTracer
-from repro.system.simulator import Simulator
-from repro.telemetry.registry import TelemetryRegistry
-from repro.validate.sanitizer import CoherenceSanitizer
 from repro.workloads.benchmarks import build_benchmark
 from repro.workloads.trace import TraceOp
 
-from tests.conftest import loads, make_config, multitrace
+from tests.conftest import make_config, multitrace
+from tests.system.test_scheduler_equivalence import (
+    contended_workload,
+    fingerprint,
+    private_workload,
+    run_with,
+)
 
 
-def run_with(runahead, config, workload, seed=0, telemetry=False,
-             tracer=None, sanitizer=None, step_observer=None,
-             scheduler="heap", snoop="bitmask"):
-    registry = TelemetryRegistry(interval=5_000) if telemetry else None
-    simulator = Simulator(
-        config, seed=seed, telemetry=registry, scheduler=scheduler,
-        sanitizer=sanitizer, step_observer=step_observer, snoop=snoop,
-        tracer=tracer, runahead=runahead,
-    )
-    result = simulator.run(workload)
-    return simulator, result, registry
-
-
-def fingerprint(simulator, result, registry=None):
-    """Everything observable about one run, as a comparable dict."""
-    print_ = {
-        "per_processor_cycles": result.per_processor_cycles,
-        "per_processor_stalls": result.per_processor_stalls,
-        "per_processor_gaps": result.per_processor_gaps,
-        "stats": result.stats,
-        "broadcasts": result.broadcasts,
-        "l1_hits": result.l1_hits,
-        "l2_hits": result.l2_hits,
-        "l2_misses": result.l2_misses,
-        "demand_latency_mean": result.demand_latency_mean,
-        "bus_queue_cycles": result.bus_queue_cycles,
-        "rca_allocations": result.rca_allocations,
-        "rca_self_invalidations": result.rca_self_invalidations,
-        "request_paths": dict(simulator.machine.request_paths),
-        "path_latency": {
-            key: (s.count, s.mean, s.minimum, s.maximum)
-            for key, s in simulator.machine.path_latency.items()
-        },
-    }
-    if registry is not None:
-        print_["telemetry"] = registry.to_dict()
-    return print_
-
-
-def assert_equivalent(config, workload, seed=0, telemetry=False,
-                      scheduler="heap", snoop="bitmask"):
-    """Run with streaks on and off and compare everything observable."""
-    on_sim, on_run, on_reg = run_with(
-        "streak", config, workload, seed, telemetry,
-        scheduler=scheduler, snoop=snoop)
-    off_sim, off_run, off_reg = run_with(
-        "off", config, workload, seed, telemetry,
-        scheduler=scheduler, snoop=snoop)
-    assert fingerprint(on_sim, on_run, on_reg) == \
-        fingerprint(off_sim, off_run, off_reg)
-
-
-def contended_workload(procs=4, lines=24):
-    per_proc = []
-    for proc in range(procs):
-        addresses = [0x40000 + i * 64 for i in range(lines)]
-        per_proc.append(loads(addresses, gap=3 + proc))
-    return multitrace(per_proc)
-
-
-def private_workload(procs=4, lines=48):
-    """Disjoint working sets: long locally-resolvable streaks, the very
-    case the run-ahead path is built for."""
-    per_proc = []
-    for proc in range(procs):
-        base = 0x100000 * (proc + 1)
-        addresses = [base + (i % 8) * 64 for i in range(lines)]
-        per_proc.append(loads(addresses, gap=1))
-    return multitrace(per_proc)
+def assert_observer_invisible(config, workload, seed=0, telemetry=False):
+    """Run bare and with a step observer; compare everything observable."""
+    bare = run_with("heap", config, workload, seed, telemetry)
+    pids = []
+    observed = run_with("heap", config, workload, seed, telemetry,
+                        step_observer=pids.append)
+    assert fingerprint(*bare) == fingerprint(*observed)
+    assert len(pids) == len(workload)
 
 
 class TestRunaheadEquivalence:
     def test_contended_trace(self):
-        assert_equivalent(make_config(cgct=True), contended_workload())
-
-    def test_private_streaks(self):
-        assert_equivalent(make_config(cgct=True), private_workload())
+        assert_observer_invisible(make_config(cgct=True),
+                                  contended_workload())
 
     def test_baseline_machine(self):
-        assert_equivalent(make_config(cgct=False), contended_workload())
-        assert_equivalent(make_config(cgct=False), private_workload())
+        assert_observer_invisible(make_config(cgct=False),
+                                  contended_workload())
+        assert_observer_invisible(make_config(cgct=False),
+                                  private_workload())
 
     def test_with_telemetry(self):
-        # Streaks must stop at sampling boundaries; the registries have
-        # to see the identical interleaving of samples and steps.
-        assert_equivalent(
+        # The observer hook runs after the sampling check: the registries
+        # must see the identical interleaving of samples and steps.
+        assert_observer_invisible(
             make_config(cgct=True), private_workload(), telemetry=True
         )
-        assert_equivalent(
+        assert_observer_invisible(
             make_config(cgct=True), contended_workload(), telemetry=True
         )
 
@@ -120,25 +66,13 @@ class TestRunaheadEquivalence:
         # the step *order* (which drives RNG consumption) is unchanged.
         config = make_config(cgct=True, perturbation=20)
         for seed in (0, 1, 2):
-            assert_equivalent(config, private_workload(), seed=seed)
+            assert_observer_invisible(config, private_workload(), seed=seed)
 
     def test_simultaneous_ready_times(self):
-        # Equal-time ties must still yield to the lower proc id: a streak
-        # may only continue while its key is *strictly* below the top.
+        # Equal-time ties are broken by proc id with or without a hook.
         per_proc = [[(TraceOp.LOAD, 0x8000, 10)] * 6 for _ in range(4)]
-        assert_equivalent(make_config(cgct=True), multitrace(per_proc))
-
-    def test_linear_scheduler_unaffected(self):
-        # runahead="streak" with scheduler="linear" must be a no-op pair:
-        # the linear reference loop never streaks.
-        assert_equivalent(
-            make_config(cgct=True), private_workload(), scheduler="linear"
-        )
-
-    def test_snoop_walk_machine(self):
-        assert_equivalent(
-            make_config(cgct=True), private_workload(), snoop="walk"
-        )
+        assert_observer_invisible(make_config(cgct=True),
+                                  multitrace(per_proc))
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -163,60 +97,11 @@ class TestRunaheadEquivalence:
     )
     def test_randomized_traces(self, data, seed, cgct):
         config = make_config(cgct=cgct, perturbation=8)
-        assert_equivalent(config, multitrace(data), seed=seed)
-
-
-class TestRunaheadObservers:
-    """Modes that hook individual steps must see the reference order."""
-
-    def test_tracer_mode(self):
-        # An attached tracer forces per-step machine dispatch; results
-        # and the captured transactions must both match the off path.
-        config = make_config(cgct=True)
-        workload = private_workload()
-        on_tracer, off_tracer = SimTracer(), SimTracer()
-        on_sim, on_run, _ = run_with("streak", config, workload,
-                                     tracer=on_tracer)
-        off_sim, off_run, _ = run_with("off", config, workload,
-                                       tracer=off_tracer)
-        assert fingerprint(on_sim, on_run) == fingerprint(off_sim, off_run)
-        assert on_tracer.accesses == off_tracer.accesses
-        assert on_tracer.recorded == off_tracer.recorded
-        on_records = [on_tracer.transaction_record(t)
-                      for t in on_tracer.transactions]
-        off_records = [off_tracer.transaction_record(t)
-                       for t in off_tracer.transactions]
-        assert on_records == off_records
-
-    def test_sanitizer_mode(self):
-        # The sanitizer's checked loop is shared by both settings; the
-        # audit cadence must not disturb results either way.
-        config = make_config(cgct=True)
-        workload = contended_workload()
-        on_sim, on_run, _ = run_with(
-            "streak", config, workload,
-            sanitizer=CoherenceSanitizer(mode="deep", bundle_dir=None))
-        off_sim, off_run, _ = run_with(
-            "off", config, workload,
-            sanitizer=CoherenceSanitizer(mode="deep", bundle_dir=None))
-        assert fingerprint(on_sim, on_run) == fingerprint(off_sim, off_run)
-
-    def test_step_observer_sees_reference_pid_order(self):
-        # The observer loop disables streaks entirely: the pid sequence
-        # it reports must equal the runahead="off" sequence exactly.
-        config = make_config(cgct=True)
-        workload = private_workload()
-        on_pids, off_pids = [], []
-        on_sim, on_run, _ = run_with("streak", config, workload,
-                                     step_observer=on_pids.append)
-        off_sim, off_run, _ = run_with("off", config, workload,
-                                       step_observer=off_pids.append)
-        assert on_pids == off_pids
-        assert fingerprint(on_sim, on_run) == fingerprint(off_sim, off_run)
+        assert_observer_invisible(config, multitrace(data), seed=seed)
 
 
 class TestSixteenProcessorRunahead:
-    """Scaling-machine equivalence; CI selects this class by name."""
+    """The observer hook on the 16-processor scaling machine."""
 
     TOPOLOGY = Topology(
         cores_per_chip=2, chips_per_switch=2, switches_per_board=2, boards=2
@@ -229,12 +114,13 @@ class TestSixteenProcessorRunahead:
 
     def test_streak_equals_off_at_16p_cgct(self):
         config = make_config(cgct=True, topology=self.TOPOLOGY)
-        assert_equivalent(config, self.workload(), seed=3)
+        assert_observer_invisible(config, self.workload(), seed=3)
 
     def test_streak_equals_off_at_16p_baseline(self):
         config = make_config(cgct=False, topology=self.TOPOLOGY)
-        assert_equivalent(config, self.workload(), seed=3)
+        assert_observer_invisible(config, self.workload(), seed=3)
 
     def test_streak_equals_off_at_16p_with_telemetry(self):
         config = make_config(cgct=True, topology=self.TOPOLOGY)
-        assert_equivalent(config, self.workload(), seed=3, telemetry=True)
+        assert_observer_invisible(config, self.workload(), seed=3,
+                                  telemetry=True)
