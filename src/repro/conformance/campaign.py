@@ -3,8 +3,11 @@
 One campaign *iteration* is one trace id: the fuzzer builds an
 adversarial workload per machine size (4/8/16 processors), and each is
 replayed on its baseline and CGCT configuration — all six canonical
-machine points — with the sanitizer attached and telemetry alternating
-on/off by trace-id parity. Iterations are independent, so they fan out
+machine points — with the sanitizer attached, telemetry alternating
+on/off by trace-id parity and the snoop paths alternating between the
+bitmask fast paths and the walk references every two trace ids, so all
+four telemetry × snoop pairs meet the golden model. Iterations are
+independent, so they fan out
 through the :class:`~repro.harness.supervisor.SupervisedPool` exactly
 like experiment cells: per-task timeouts, crash requeue, checkpointed
 completion (``--checkpoint``), and one JSON-lines run-log record per
@@ -54,6 +57,7 @@ class IterationTask:
     ops: int
     config_names: Tuple[str, ...]
     telemetry: bool
+    snoop: str
 
 
 @dataclass
@@ -79,8 +83,13 @@ def run_iteration(
     config_names: Sequence[str],
     telemetry: bool,
     bundle_dir: Optional[str] = None,
+    snoop: str = "bitmask",
 ) -> List[DifferentialOutcome]:
-    """Run one fuzzed trace id across every requested machine point."""
+    """Run one fuzzed trace id across every requested machine point.
+
+    ``snoop`` picks the machines' snoop paths (see
+    :class:`~repro.system.machine.Machine`).
+    """
     from repro.harness.perfbench import bench_config
 
     configs = [(name, bench_config(name)) for name in config_names]
@@ -94,7 +103,7 @@ def run_iteration(
             )
         outcomes.append(run_differential(
             traces[nprocs], config, config_name=name, seed=seed,
-            telemetry=telemetry, bundle_dir=bundle_dir,
+            telemetry=telemetry, bundle_dir=bundle_dir, snoop=snoop,
         ))
     return outcomes
 
@@ -103,6 +112,7 @@ def _execute_task(task: IterationTask) -> List[dict]:
     """Worker-side entry: plain dicts cross the process boundary."""
     outcomes = run_iteration(
         task.index, task.seed, task.ops, task.config_names, task.telemetry,
+        snoop=task.snoop,
     )
     return [
         {
@@ -158,6 +168,7 @@ def run_campaign(
         IterationTask(
             index=i, seed=seed, ops=ops, config_names=names,
             telemetry=bool(i % 2),
+            snoop="walk" if i % 4 >= 2 else "bitmask",
         )
         for i in range(iterations)
     ]
@@ -185,7 +196,7 @@ def run_campaign(
         if runlog is not None:
             runlog.record(
                 "conformance", trace_id=task.index, seed=seed, ops=ops,
-                telemetry=task.telemetry,
+                telemetry=task.telemetry, snoop=task.snoop,
                 status="fail" if failed else "ok",
                 cells=len(outcomes),
                 mismatches=[m for o in failed for m in o.mismatches],

@@ -52,12 +52,10 @@ ProbeEvent = namedtuple(
 class ConformanceProbe:
     """Event sink wired into the machine's coherence-event funnel.
 
-    Implements both sink shapes the machine knows: ``funnel(...)`` (the
-    fast per-instance shadow, raw enums) and ``record(...)`` (the
-    generic dispatch used when telemetry shares the stream, path already
-    a string). Every event is stamped with the index of the access that
-    produced it, taken from the shared ``order`` list the simulator's
-    step observer appends to.
+    Implements the machine's one sink shape, ``record(...)`` (path as
+    its string value). Every event is stamped with the index of the
+    access that produced it, taken from the shared ``order`` list the
+    simulator's step observer appends to.
 
     The probe also exposes ``tail`` in the shape the sanitizer's
     diagnostics bundle expects, so a failing run's bundle shows the
@@ -71,23 +69,12 @@ class ConformanceProbe:
         self.events: List[ProbeEvent] = []
         self.violations: List[str] = []
 
-    # -- machine-facing sink protocol ----------------------------------
-    def funnel(self, now, proc, request, path, address, latency) -> None:
-        self._note(now, proc, request, path.value, address, latency)
-
-    def record(self, time, processor, request, address, path, latency) -> None:
-        self._note(
-            time, processor, request,
-            path if isinstance(path, str) else path.value,
-            address, latency,
-        )
-
     def tail(self, n: Optional[int] = None):
         events = self.events if n is None else self.events[-n:]
         return events  # ProbeEvent has the attribute names tail consumers use
 
-    # -- the live CGCT-safety check ------------------------------------
-    def _note(self, now, proc, request, path, address, latency) -> None:
+    # -- machine-facing sink protocol: the live CGCT-safety check -------
+    def record(self, now, proc, request, address, path, latency) -> None:
         machine = self._machine
         line = address >> self._line_shift
         holders = machine._line_holders.get(line, 0)
@@ -161,10 +148,11 @@ def run_differential(
 ) -> DifferentialOutcome:
     """Replay *workload* on *config* and diff it against the golden model.
 
-    ``snoop`` selects the machine's phase-1 snoop path (see
+    ``snoop`` selects the machine's snoop paths for both phases (see
     :class:`~repro.system.machine.Machine`); the default exercises the
-    holder-bitmask fast path, so every corpus replay and fuzz campaign
-    checks the fast holder bookkeeping against the golden model.
+    holder-bitmask and class-mask fast paths, so every corpus replay
+    checks the fast holder and class bookkeeping against the golden
+    model, and the fuzz campaign alternates it with the walk references.
     """
     from repro.system.simulator import Simulator
     from repro.validate.sanitizer import CoherenceSanitizer

@@ -130,6 +130,17 @@ _DIRECT_I = RequestPath.DIRECT.index
 _TARGETED_I = RequestPath.TARGETED.index
 _BROADCAST_I = RequestPath.BROADCAST.index
 _WRITEBACK_C = OracleCategory.WRITEBACK.index
+_REGION_STATES = tuple(RegionState)
+
+
+def _move_class(cls: Dict[int, int], bits: int, old: int, new: int) -> None:
+    """Move *bits* from class *old* to class *new* of one region's masks."""
+    left = cls[old] & ~bits
+    if left:
+        cls[old] = left
+    else:
+        del cls[old]
+    cls[new] = cls.get(new, 0) | bits
 
 
 @dataclass(frozen=True, slots=True)
@@ -245,15 +256,21 @@ class ExternalRequestStats:
 class Machine:
     """The multiprocessor memory system (baseline or CGCT).
 
-    ``snoop`` selects the phase-1 snoop implementation: ``"bitmask"``
-    (the default) visits only the caches whose maintained holder bit is
-    set — O(holders) per broadcast instead of O(P) — with skipped tag
-    probes reconstructed exactly from per-processor broadcast totals;
-    ``"walk"`` is the original per-peer loop, kept as the reference the
-    snoop-equivalence tests check against. Both produce bit-identical
-    results. Machines with RegionScout/Jetty filters always run the
-    general loop (those filters must observe every broadcast) whatever
-    ``snoop`` says.
+    ``snoop`` selects the implementation of both snoop phases of a
+    broadcast, once, at construction. ``"bitmask"`` (the default) runs
+    the fast paths: phase 1 visits only the caches whose maintained
+    holder bit is set — O(holders) per broadcast instead of O(P) — with
+    skipped tag probes reconstructed exactly from per-processor
+    broadcast totals, and phase 2 applies the region snoop per
+    *(state, empty)* class of trackers over maintained class masks.
+    ``"walk"`` runs the references the snoop-equivalence tests check
+    against: the per-peer phase-1 loop and one ``node.snoop_region``
+    per tracker. Both produce bit-identical results, telemetry's
+    transition matrix included. Observers (telemetry, event logs, the
+    tracer, the sanitizer) only record; they never change which path
+    runs. Machines with RegionScout/Jetty filters always run the
+    per-peer phase-1 loop (those filters must observe every broadcast)
+    whatever ``snoop`` says.
     """
 
     def __init__(
@@ -337,18 +354,25 @@ class Machine:
         # Per-region class masks: region → {class: pid bitmask}, where a
         # class packs (region state, line count == 0) as
         # ``(state.index << 1) | empty`` — exactly the pair a region
-        # snoop's outcome depends on. Phase 2 of a broadcast iterates
-        # the one-to-three classes present in a region with integer
-        # operations instead of probing every tracker's RCA entry;
+        # snoop's outcome depends on. Phase 2 of a bitmask-mode broadcast
+        # iterates the one-to-three classes present in a region with
+        # integer operations instead of probing every tracker's RCA entry;
         # observer entries are only materialised when their state
-        # actually changes (or they self-invalidate). Maintained by the
-        # residency callbacks and every state-writing site while the
-        # inline region snoop is eligible; rebuilt from the arrays by
-        # _refresh_region_snoop_tables whenever eligibility changes.
-        # Mutated in place, never rebound: the residency closures
-        # capture the dict once.
+        # actually changes (or they self-invalidate). Empty at
+        # construction (no RCA tracks anything yet) and kept exact from
+        # then on by the residency callbacks and every state-writing
+        # site; never re-derived. Mutated in place, never rebound: the
+        # residency closures capture the dict once.
         self._region_classes: Dict[int, Dict[int, int]] = {}
-        self._inline_region_snoop = False
+        #: Phase-2 implementation, fixed by ``snoop`` alone: the class-mask
+        #: loop above, or (``"walk"``) the per-tracker
+        #: ``node.snoop_region`` reference, which keeps no class masks.
+        self._inline_region_snoop = snoop == "bitmask" and any(
+            n.rca is not None for n in self.nodes
+        )
+        #: Telemetry's region-transition matrix while attached; the inline
+        #: phase 2 records its observers' transitions into it directly.
+        self._transitions = None
         #: Owner hints are advisory and only ever read by the Section 6
         #: owner-prediction extension; with the extension off they are
         #: dead stores, and the inline snoop paths skip writing them.
@@ -358,44 +382,31 @@ class Machine:
         self._two_bit = config.two_bit_response
         for node in self.nodes:
             self._track_presence(node)
-        #: No RegionScout/Jetty filter anywhere → phase-1 snoops can take
-        #: the bitmask fast path (those filters keep per-snoop state that
-        #: must observe every broadcast, so they pin the general loop).
-        self._plain_snoop = all(
+        #: Phase-1 implementation. Bitmask snoop mode iterates the set
+        #: bits of the holder mask instead of walking every peer.
+        #: Non-holders are never visited, so their tag-probe counts are
+        #: carried as per-processor debt — broadcasts a processor neither
+        #: issued nor answered as a holder are exactly its skipped probes
+        #: — and reconstructed on every ``L2Cache.snoop_probes`` read.
+        #: RegionScout/Jetty filters keep per-snoop state that must
+        #: observe every broadcast, so they pin the general per-peer loop
+        #: (the ``"walk"`` reference) whatever ``snoop`` says.
+        self._bitmask_snoop = snoop == "bitmask" and all(
             n.regionscout is None and n.jetty is None for n in self.nodes
         )
-        #: Per-requestor peer list ``(pid, node, node.l2)`` — the plain
-        #: snoop loop walks these tuples instead of re-deriving proc ids
-        #: and L2 references on every broadcast.
-        self._snoop_peers = [
-            tuple(
-                (other.proc_id, other, other.l2)
-                for other in self.nodes
-                if other.proc_id != p
-            )
-            for p in range(self.topology.num_processors)
-        ]
-        #: Bitmask snoop mode: phase-1 broadcasts iterate the set bits of
-        #: the holder mask instead of walking every peer. Non-holders are
-        #: never visited, so their tag-probe counts are carried as
-        #: per-processor debt — broadcasts a processor neither issued nor
-        #: answered as a holder are exactly its skipped probes — and
-        #: reconstructed on every ``L2Cache.snoop_probes`` read.
-        self._bitmask_snoop = self._plain_snoop and snoop == "bitmask"
-        self._fast_broadcasts = 0
         self._fast_issued = [0] * self.topology.num_processors
         self._fast_holder_visits = [0] * self.topology.num_processors
         if self._bitmask_snoop:
             for node in self.nodes:
                 self._install_probe_debt(node)
-        # Region-snoop fast path: flat per-node transition tables (see
-        # _refresh_region_snoop_tables) plus hoisted prefetch-filter
+        # Region-snoop fast path: class-indexed transition tables (see
+        # _build_region_snoop_tables) plus hoisted prefetch-filter
         # constants (line → region shift, filter switch).
         self._line_region_shift = (
             self.geometry._region_bits - self.geometry._line_bits
         )
         self._prefetch_region_filter = config.prefetch_region_filter
-        self._refresh_region_snoop_tables()
+        self._build_region_snoop_tables()
         #: Bound L1 lookup methods, indexed by processor: every access
         #: starts here, so the common L1-hit path is one list index and
         #: one call (the L1 objects live as long as the machine, so the
@@ -465,7 +476,10 @@ class Machine:
             and getattr(inner_removed, "__self__", None) is rca
         )
 
-        machine = self
+        # The closures capture values, never the machine: the nodes they
+        # hang off belong to it, and a cycle would keep every finished
+        # machine alive until a cyclic-GC pass.
+        inline = self._inline_region_snoop
         region_classes = self._region_classes
         if fuse_rca:
             # The node's only line hooks are the RCA counters: fold them
@@ -494,16 +508,9 @@ class Machine:
                 count = entry.line_count + 1
                 entry.line_count = count
                 if count == 1:
-                    if machine._inline_region_snoop:
-                        cls = region_classes[region]
+                    if inline:
                         c = (entry.state.index << 1) | 1
-                        left = cls[c] & ~bit
-                        if left:
-                            cls[c] = left
-                        else:
-                            del cls[c]
-                        nc = c ^ 1
-                        cls[nc] = cls.get(nc, 0) | bit
+                        _move_class(region_classes[region], bit, c, c ^ 1)
                 elif count > lines_per_region:
                     raise ProtocolError(
                         f"region {entry.region:#x} line count {count} exceeds "
@@ -528,16 +535,9 @@ class Machine:
                     raise ProtocolError(
                         f"region {entry.region:#x} line count would go negative"
                     )
-                if count == 1 and machine._inline_region_snoop:
-                    cls = region_classes[region]
+                if count == 1 and inline:
                     c = entry.state.index << 1
-                    left = cls[c] & ~bit
-                    if left:
-                        cls[c] = left
-                    else:
-                        del cls[c]
-                    nc = c | 1
-                    cls[nc] = cls.get(nc, 0) | bit
+                    _move_class(region_classes[region], bit, c, c | 1)
                 entry.line_count = count - 1
         elif rca is not None:
             # Stacked line filters (Jetty/RegionScout) kept the node's
@@ -552,19 +552,12 @@ class Machine:
             def line_allocated(line: int) -> None:
                 holders[line] = holders.get(line, 0) | bit
                 inner_allocated(line)
-                if machine._inline_region_snoop:
+                if inline:
                     region = line >> rshift
                     entry = rsets[region & rmask].get(region >> rbits)
                     if entry is not None and entry.line_count == 1:
-                        cls = region_classes[region]
                         c = (entry.state.index << 1) | 1
-                        left = cls[c] & ~bit
-                        if left:
-                            cls[c] = left
-                        else:
-                            del cls[c]
-                        nc = c ^ 1
-                        cls[nc] = cls.get(nc, 0) | bit
+                        _move_class(region_classes[region], bit, c, c ^ 1)
 
             def line_removed(line: int) -> None:
                 remaining = holders.get(line, 0) & ~bit
@@ -573,19 +566,12 @@ class Machine:
                 else:
                     holders.pop(line, None)
                 inner_removed(line)
-                if machine._inline_region_snoop:
+                if inline:
                     region = line >> rshift
                     entry = rsets[region & rmask].get(region >> rbits)
                     if entry is not None and entry.line_count == 0:
-                        cls = region_classes[region]
                         c = entry.state.index << 1
-                        left = cls[c] & ~bit
-                        if left:
-                            cls[c] = left
-                        else:
-                            del cls[c]
-                        nc = c | 1
-                        cls[nc] = cls.get(nc, 0) | bit
+                        _move_class(region_classes[region], bit, c, c | 1)
         else:
             def line_allocated(line: int) -> None:
                 holders[line] = holders.get(line, 0) | bit
@@ -610,7 +596,7 @@ class Machine:
 
             def region_tracked(region: int) -> None:
                 trackers[region] = trackers.get(region, 0) | bit
-                if machine._inline_region_snoop:
+                if inline:
                     entry = rsets2[region & rmask2].get(region >> rbits2)
                     c = (entry.state.index << 1) | (
                         1 if entry.line_count == 0 else 0
@@ -626,7 +612,7 @@ class Machine:
                     trackers[region] = remaining
                 else:
                     trackers.pop(region, None)
-                if machine._inline_region_snoop:
+                if inline:
                     cls = region_classes.get(region)
                     if cls:
                         for c, m in cls.items():
@@ -648,34 +634,31 @@ class Machine:
 
         In bitmask mode a processor's skipped tag probes are exactly the
         fast-path broadcasts it neither issued nor was visited for as a
-        holder; the closure computes that from the machine's live
-        totals, so ``l2.snoop_probes`` reads are exact at any time.
+        holder; the closure computes that from the live per-processor
+        totals, so ``l2.snoop_probes`` reads are exact at any time. It
+        captures the two count lists, not the machine, so a finished
+        machine is freed by reference counting.
         """
         pid = node.proc_id
+        issued = self._fast_issued
+        visits = self._fast_holder_visits
 
         def probe_debt() -> int:
-            return (
-                self._fast_broadcasts
-                - self._fast_issued[pid]
-                - self._fast_holder_visits[pid]
-            )
+            return sum(issued) - issued[pid] - visits[pid]
 
         node.l2._probe_debt = probe_debt
 
-    def _refresh_region_snoop_tables(self) -> None:
-        """(Re)derive the tables and class masks behind inline region snoops.
+    def _build_region_snoop_tables(self) -> None:
+        """Derive the tables behind RCA routing and inline region snoops.
 
-        The protocol's response and external-transition tables are
-        reshaped to *class* indexing — a class packs (state, line count
-        == 0) as ``(state.index << 1) | empty``, the exact pair one
-        observer's snoop outcome depends on — and hoisted machine-wide
-        alongside the local-transition table and per-pid RCA set lists.
-        The per-region class masks are rebuilt from the tracker masks
-        and the entries they point at, so they are trustworthy from any
-        starting state. This runs at construction and again whenever
-        :meth:`attach_telemetry` replaces the protocols.
+        Hoists the per-pid RCA set lists and the shared set organisation
+        machine-wide. In bitmask mode it also reshapes the protocol's
+        response and external-transition tables to *class* indexing — a
+        class packs (state, line count == 0) as ``(state.index << 1) |
+        empty``, the exact pair one observer's snoop outcome depends on.
+        Runs once, at construction: the tables are pure functions of the
+        config, and the recording protocols telemetry installs share them.
         """
-        cgct_nodes = [n for n in self.nodes if n.rca is not None]
         # Region → home controller in closed form (the interleave unit
         # is >= the region size, so the shift never goes negative); the
         # allocation path uses this instead of two method calls and a
@@ -693,85 +676,53 @@ class Machine:
         self._rca_set_bits = 0
         self._rca_ways = 0
         self._class_info = None
-        self._region_local_table = None
-        inline = False
-        if cgct_nodes:
-            # All RCAs share one organisation; the loop hoists the set
-            # index / tag split out of the per-observer visits.
-            rca = cgct_nodes[0].rca
-            self._rca_set_mask = rca._set_mask
-            self._rca_set_bits = rca._set_bits
-            self._rca_ways = rca._array.ways
-            # The protocols are value-equal across nodes (one config
-            # builds them all), so their tables are interchangeable and
-            # hoisted machine-wide; the inline loop is only eligible
-            # while no transition matrix is recording (telemetry swaps
-            # protocols and must observe every transition).
-            protocol = cgct_nodes[0].protocol
-            inline = all(
-                n.protocol.transitions is None and n.protocol == protocol
-                for n in cgct_nodes
+        cgct_nodes = [n for n in self.nodes if n.rca is not None]
+        if not cgct_nodes:
+            return
+        # All RCAs share one organisation; the loop hoists the set
+        # index / tag split out of the per-observer visits.
+        rca = cgct_nodes[0].rca
+        self._rca_set_mask = rca._set_mask
+        self._rca_set_bits = rca._set_bits
+        self._rca_ways = rca._array.ways
+        if not self._inline_region_snoop:
+            return
+        # One config builds every node's protocol, so their tables are
+        # interchangeable and hoisted machine-wide.
+        protocol = cgct_nodes[0].protocol
+        resp_rows = [
+            (
+                (o1.self_invalidate, o1.response.clean, o1.response.dirty),
+                (o0.self_invalidate, o0.response.clean, o0.response.dirty),
             )
-            if inline:
-                resp_rows = [
-                    (
-                        (o1.self_invalidate, o1.response.clean,
-                         o1.response.dirty),
-                        (o0.self_invalidate, o0.response.clean,
-                         o0.response.dirty),
-                    )
-                    for o1, o0 in protocol._response_table
-                ]
-                # One class × request table carrying everything the
-                # snoop loop needs in a single subscript: the response
-                # triple (self_invalidate, clean, dirty) plus the
-                # hint-indexed external targets. An external transition
-                # never changes the line count, so a class's target
-                # keeps its empty bit; targets carry ``(new_class,
-                # new_state)`` so the loop can update both the masks and
-                # the moved entries. ``None`` marks the tabulated error
-                # combinations (re-dispatched to the raising reference
-                # implementation).
-                ext = protocol._external_table
-                self._class_info = [
+            for o1, o0 in protocol._response_table
+        ]
+        # One class × request table carrying everything the snoop loop
+        # needs in a single subscript: the response triple
+        # (self_invalidate, clean, dirty) plus the hint-indexed external
+        # targets. An external transition never changes the line count,
+        # so a class's target keeps its empty bit; targets carry
+        # ``(new_class, new_state)`` so the loop can update both the
+        # masks and the moved entries. ``None`` marks the tabulated error
+        # combinations (re-dispatched to the raising reference
+        # implementation).
+        ext = protocol._external_table
+        self._class_info = [
+            [
+                (
+                    resp_rows[c >> 1][c & 1][0],
+                    resp_rows[c >> 1][c & 1][1],
+                    resp_rows[c >> 1][c & 1][2],
                     [
-                        (
-                            resp_rows[c >> 1][c & 1][0],
-                            resp_rows[c >> 1][c & 1][1],
-                            resp_rows[c >> 1][c & 1][2],
-                            [
-                                None if ns is None
-                                else ((ns.index << 1) | (c & 1), ns)
-                                for ns in req_row
-                            ],
-                        )
-                        for req_row in ext[c >> 1]
-                    ]
-                    for c in range(len(ext) * 2)
-                ]
-                self._region_local_table = protocol._local_table
-        self._inline_region_snoop = inline
-        self._region_classes.clear()
-        if inline:
-            # Rebuilt from the tracker masks, so the cost is one visit
-            # per tracked (region, processor) pair: nothing at
-            # construction, O(tracked regions) when telemetry re-derives.
-            classes = self._region_classes
-            rca_sets = self._rca_sets_by_pid
-            set_mask = self._rca_set_mask
-            set_bits = self._rca_set_bits
-            for region, trackers in self._region_trackers.items():
-                cls = classes[region] = {}
-                index = region & set_mask
-                tag = region >> set_bits
-                while trackers:
-                    bit = trackers & -trackers
-                    trackers ^= bit
-                    entry = rca_sets[bit.bit_length() - 1][index][tag]
-                    c = (entry.state.index << 1) | (
-                        1 if entry.line_count == 0 else 0
-                    )
-                    cls[c] = cls.get(c, 0) | bit
+                        None if ns is None
+                        else ((ns.index << 1) | (c & 1), ns)
+                        for ns in req_row
+                    ],
+                )
+                for req_row in ext[c >> 1]
+            ]
+            for c in range(len(ext) * 2)
+        ]
 
     # ------------------------------------------------------------------
     # Accounting views over the flat arrays
@@ -1294,9 +1245,8 @@ class Machine:
             # Fastest path: visit only the actual holders, in ascending
             # processor order (identical combine order to the walk). A
             # non-holder contributes nothing to the combine and its tag
-            # probe is reconstructed later from these three counters, so
+            # probe is reconstructed later from these two counters, so
             # results and statistics stay bit-identical to the walk.
-            self._fast_broadcasts += 1
             self._fast_issued[proc] += 1
             visits = self._fast_holder_visits
             nodes = self.nodes
@@ -1311,27 +1261,13 @@ class Machine:
                 if wrote_back:
                     home = self.address_map.home_of(address)
                     self.controllers[home].write_back(snoop_done)
-        elif self._plain_snoop:
-            # Fast path (no RegionScout/Jetty anywhere): a node whose
-            # holder bit is clear cannot hit — count its tag probe (the
-            # snoop still happens in hardware) and omit its all-zeros
-            # response, which contributes nothing to the combine. The
-            # counters and the combined result are identical to probing.
-            for pid, other, l2 in self._snoop_peers[proc]:
-                if (holders_before >> pid) & 1:
-                    response, wrote_back = other.snoop_line(line, request)
-                    responses.append((pid, response))
-                    if wrote_back:
-                        home = self.address_map.home_of(address)
-                        self.controllers[home].write_back(snoop_done)
-                else:
-                    l2.snoop_probes += 1
         else:
-            # Phase 1: line snoops everywhere else. RegionScout nodes
-            # first consult their CRH — a zero count proves
-            # non-residence, skipping the tag probe entirely (the
-            # Jetty-style filtering benefit) — and drop any NSRT claim
-            # on the region another node is touching.
+            # Phase 1 reference (and the filtered machines' only loop):
+            # line snoops everywhere else. RegionScout nodes first
+            # consult their CRH — a zero count proves non-residence,
+            # skipping the tag probe entirely (the Jetty-style filtering
+            # benefit) — and drop any NSRT claim on the region another
+            # node is touching.
             for other in self.nodes:
                 if other.proc_id == proc:
                     continue
@@ -1474,6 +1410,11 @@ class Machine:
                                     moves.append((c, mn, tgt))
                         if wants_mod_hints:
                             hint_pids |= m
+                    if self._transitions is not None:
+                        self._record_region_snoop(
+                            cls, remote_trackers, holders_before, request,
+                            hint_h, hint_n,
+                        )
                     if inv:
                         rcas = self._rcas_by_pid
                         while inv:
@@ -1486,12 +1427,7 @@ class Machine:
                         tag = region >> self._rca_set_bits
                         if moves is not None:
                             for c, bits, (tc, new_state) in moves:
-                                left = cls[c] & ~bits
-                                if left:
-                                    cls[c] = left
-                                else:
-                                    del cls[c]
-                                cls[tc] = cls.get(tc, 0) | bits
+                                _move_class(cls, bits, c, tc)
                                 while bits:
                                     low = bits & -bits
                                     bits ^= low
@@ -1581,6 +1517,36 @@ class Machine:
                 updated.owner_hint = combined.supplier
         return latency
 
+    def _record_region_snoop(
+        self, cls: Dict[int, int], observers: int, holders: int,
+        request: RequestType, hint_h: int, hint_n: int,
+    ) -> None:
+        """Count one inline phase 2's transitions into telemetry.
+
+        Runs before the scan's effects are applied, so *cls* still holds
+        the pre-snoop classes. Records what ``node.snoop_region`` records
+        for each observer — ``self_invalidate`` to INVALID, or the
+        ``external.<request>`` transition, identity transitions
+        included — as one weighted count per (class, hint).
+        """
+        record = self._transitions.record
+        event = f"external.{request.value}"
+        info = self._class_info
+        req_i = request.index
+        for c, full in cls.items():
+            m = full & observers
+            if not m:
+                continue
+            self_inv, _clean, _dirty, row = info[c][req_i]
+            state = _REGION_STATES[c >> 1]
+            if self_inv:
+                record(state, "self_invalidate", RegionState.INVALID,
+                       bin(m).count("1"))
+                continue
+            for bits, hint in ((m & holders, hint_h), (m & ~holders, hint_n)):
+                if bits:
+                    record(state, event, row[hint][1], bin(bits).count("1"))
+
     def _region_snoop_errors(
         self, bits: int, region: int, request: RequestType, hint
     ) -> None:
@@ -1602,17 +1568,32 @@ class Machine:
                 entry.state, request, hint
             )
 
-    def _move_region_class(
-        self, region: int, bit: int, old: int, new: int
-    ) -> None:
-        """Move one processor's bit between two of a region's class masks."""
-        cls = self._region_classes[region]
-        left = cls[old] & ~bit
-        if left:
-            cls[old] = left
-        else:
-            del cls[old]
-        cls[new] = cls.get(new, 0) | bit
+    def _snoop_region_mirrored(
+        self, target, region: int, request: RequestType, requestor=None
+    ) -> RegionSnoopResponse:
+        """One node's canonical region snoop, mirrored into the masks.
+
+        The owner-prediction probe and the region-state prefetch snoop
+        single nodes through ``node.snoop_region`` (no exclusivity
+        hint). In bitmask mode any class change it makes is moved into
+        the region's masks; a self-invalidation cleans up through the
+        untracked hook on its own.
+        """
+        pre = None
+        if self._inline_region_snoop and target.rca is not None:
+            pre = target.rca.probe(region)
+            if pre is not None:
+                pre_class = (pre.state.index << 1) | (pre.line_count == 0)
+        response = target.snoop_region(
+            region, request, requestor_fills_exclusive=False,
+            requestor=requestor,
+        )
+        if pre is not None and target.rca.probe(region) is pre:
+            post_class = (pre.state.index << 1) | (pre.line_count == 0)
+            if post_class != pre_class:
+                _move_class(self._region_classes[region],
+                            1 << target.proc_id, pre_class, post_class)
+        return response
 
     def _targeted_request(
         self,
@@ -1645,28 +1626,7 @@ class Machine:
             return None
         self.targeted_hits += 1
         self.c2c_transfers += 1
-        # The point-to-point snoop goes through the node's canonical
-        # path; with the inline loop active, mirror any class change
-        # into the region's masks (self-invalidation cleans up via the
-        # untracked hook on its own).
-        pre = None
-        if self._inline_region_snoop and target.rca is not None:
-            pre = target.rca.probe(region)
-            if pre is not None:
-                pre_class = (pre.state.index << 1) | (
-                    1 if pre.line_count == 0 else 0
-                )
-        target.snoop_region(
-            region, request, requestor_fills_exclusive=False, requestor=proc
-        )
-        if pre is not None and target.rca.probe(region) is pre:
-            post_class = (pre.state.index << 1) | (
-                1 if pre.line_count == 0 else 0
-            )
-            if post_class != pre_class:
-                self._move_region_class(
-                    region, 1 << owner, pre_class, post_class
-                )
+        self._snoop_region_mirrored(target, region, request, requestor=proc)
         latency = (
             self._direct_to_proc[proc][owner]
             + self._cache_access_cycles
@@ -1770,33 +1730,11 @@ class Machine:
             return
         if node.rca.victim_for(region) is not None:
             return  # never evict real state for a prefetch
-        responses = []
-        inline = self._inline_region_snoop
-        for other in self.nodes:
-            if other.proc_id == node.proc_id:
-                continue
-            # Canonical per-node snoop; with the inline loop active,
-            # mirror any class change into the region's masks.
-            pre = None
-            if inline and other.rca is not None:
-                pre = other.rca.probe(region)
-                if pre is not None:
-                    pre_class = (pre.state.index << 1) | (
-                        1 if pre.line_count == 0 else 0
-                    )
-            responses.append(
-                other.snoop_region(
-                    region, RequestType.PREFETCH, requestor_fills_exclusive=False
-                )
-            )
-            if pre is not None and other.rca.probe(region) is pre:
-                post_class = (pre.state.index << 1) | (
-                    1 if pre.line_count == 0 else 0
-                )
-                if post_class != pre_class:
-                    self._move_region_class(
-                        region, 1 << other.proc_id, pre_class, post_class
-                    )
+        responses = [
+            self._snoop_region_mirrored(other, region, RequestType.PREFETCH)
+            for other in self.nodes
+            if other.proc_id != node.proc_id
+        ]
         combined = combine_region_responses(responses)
         if not self.config.two_bit_response:
             combined = combined.collapsed()
@@ -1884,27 +1822,15 @@ class Machine:
         if rca is not None and request is not RequestType.WRITEBACK:
             entry = region_entry
             current = entry.state if entry is not None else RegionState.INVALID
-            if self._inline_region_snoop:
-                # Flat-table twin of protocol.after_local_request (no
-                # transition matrix is recording in inline mode).
-                new_state = self._region_local_table[current.index][
-                    request.index][fill_state.index][
-                    0 if region_response is None
-                    else 1 + region_response.clean + 2 * region_response.dirty]
-                if new_state is None:  # tabulated error path
-                    new_state = node.protocol.after_local_request(
-                        current, request, fill_state, region_response
-                    )
-            else:
-                new_state = node.protocol.after_local_request(
-                    current, request, fill_state, region_response
-                )
+            new_state = node.protocol.after_local_request(
+                current, request, fill_state, region_response
+            )
             if entry is not None:
                 if new_state is not current:
                     if self._inline_region_snoop:
                         empty = 1 if entry.line_count == 0 else 0
-                        self._move_region_class(
-                            region, 1 << proc,
+                        _move_class(
+                            self._region_classes[region], 1 << proc,
                             (current.index << 1) | empty,
                             (new_state.index << 1) | empty,
                         )
@@ -2018,23 +1944,6 @@ class Machine:
         """
         self.event_log = log
         self._log_enabled = log is not None or self.telemetry is not None
-        self._refresh_log_funnel()
-
-    def _refresh_log_funnel(self) -> None:
-        """Install or clear the fast per-instance event funnel.
-
-        A sink exposing a ``funnel(now, proc, request, path, address,
-        latency)`` callable (the call-site argument order) gets wired
-        straight into the request funnel as an instance-level
-        ``_log_event`` shadow — one bound call per event instead of the
-        generic method's log/telemetry dispatch. Only possible while no
-        telemetry registry needs the same stream.
-        """
-        fast = getattr(self.event_log, "funnel", None)
-        if fast is not None and self.telemetry is None:
-            self._log_event = fast
-        else:
-            self.__dict__.pop("_log_event", None)
 
     def attach_telemetry(self, registry) -> None:
         """Instrument the whole machine with a telemetry registry.
@@ -2062,12 +1971,12 @@ class Machine:
         """
         self.telemetry = registry
         self._log_enabled = registry is not None or self.event_log is not None
-        self._refresh_log_funnel()
         self._tel_event_metrics = {}
         if registry is None:
             self._tel_demand_hist = None
             self._tel_wb_direct = None
             self._tel_wb_broadcast = None
+            self._transitions = None
             self.bus._telemetry_queue_delay = None
             for node in self.nodes:
                 node.protocol = dataclasses.replace(
@@ -2075,7 +1984,6 @@ class Machine:
                 )
                 if node.rca is not None:
                     node.rca._telemetry_eviction_hist = None
-            self._refresh_region_snoop_tables()
             return
 
         self._tel_demand_hist = registry.histogram(
@@ -2092,7 +2000,7 @@ class Machine:
         )
         self.bus.attach_telemetry(registry)
         self.network.attach_telemetry(registry)
-        transitions = registry.transition_matrix(
+        transitions = self._transitions = registry.transition_matrix(
             "rca.transitions",
             help="region-state transitions: (from, event, to) coverage",
         )
@@ -2105,7 +2013,6 @@ class Machine:
             node.l2.attach_telemetry(registry)
             if node.rca is not None:
                 node.rca.attach_telemetry(registry)
-        self._refresh_region_snoop_tables()
 
         # Figure 2/7/10 aggregates as interval probes: each series records
         # the per-window delta of its cumulative source, so series totals
@@ -2243,9 +2150,9 @@ class Machine:
         # Zero the fast-path broadcast totals *before* the per-node
         # resets: each L2's snoop_probes setter bakes the current debt
         # into its private counter, so the debts must already be zero.
-        self._fast_broadcasts = 0
-        self._fast_issued = [0] * self.topology.num_processors
-        self._fast_holder_visits = [0] * self.topology.num_processors
+        # In place: the probe-debt closures hold these lists.
+        self._fast_issued[:] = [0] * self.topology.num_processors
+        self._fast_holder_visits[:] = [0] * self.topology.num_processors
         for node in self.nodes:
             node.l1i.reset_stats()
             node.l1d.reset_stats()

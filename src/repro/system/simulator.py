@@ -130,10 +130,12 @@ class Simulator:
     scheduler exists as the reference for the equivalence tests, and it
     runs every hook below in the same order as the heap loop.
 
-    ``snoop`` selects the machine's phase-1 snoop implementation:
-    ``"bitmask"`` (the default holder-bitmask fast path) or ``"walk"``
-    (the original per-peer loop, the reference for the snoop-equivalence
-    tests). Both produce bit-identical results — see
+    ``snoop`` selects the machine's implementation of both snoop
+    phases: ``"bitmask"`` (the default holder-bitmask phase 1 and
+    class-mask phase 2) or ``"walk"`` (the per-peer phase-1 loop and
+    per-tracker ``node.snoop_region`` phase 2, the references for the
+    snoop-equivalence tests). Both produce bit-identical results, and no
+    observer changes which one runs — see
     :class:`~repro.system.machine.Machine`.
 
     ``sanitizer`` (a

@@ -65,15 +65,9 @@ class _EventRing:
         self._events = deque(maxlen=capacity)
 
     def record(self, time, processor, request, address, path, latency) -> None:
-        # Raw args only — the enum .value lookups wait until tail(), off
-        # the simulation's hot path.
+        # Raw args only — the request's .value lookup waits until tail(),
+        # off the simulation's hot path.
         self._events.append((time, processor, request, address, path, latency))
-
-    def funnel(self, now, proc, request, path, address, latency) -> None:
-        # Fast sink the machine installs as its per-instance _log_event
-        # shadow: call-site argument order, raw enums, one bound call
-        # per event.
-        self._events.append((now, proc, request, address, path, latency))
 
     def tail(self, n: Optional[int] = None) -> List[dict]:
         events = list(self._events)
@@ -83,7 +77,7 @@ class _EventRing:
             {
                 "time": t, "processor": p, "request": r.value,
                 "address": a,
-                "path": path if isinstance(path, str) else path.value,
+                "path": path,
                 "latency": lat,
             }
             for t, p, r, a, path, lat in events

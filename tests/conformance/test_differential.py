@@ -9,11 +9,16 @@ is fixed — the complete find → shrink → regress workflow from
 """
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from repro.coherence.requests import RequestType
-from repro.conformance.campaign import campaign_config_names, run_iteration
+from repro.conformance.campaign import (
+    campaign_config_names,
+    run_campaign,
+    run_iteration,
+)
 from repro.conformance.differential import run_differential
 from repro.conformance.fuzz import fuzz_trace
 from repro.conformance.shrink import load_corpus_file, shrink_trace, write_reproducer
@@ -78,6 +83,23 @@ class TestCleanMachine:
         ]
         assert all(o.ok for o in outcomes), [
             m for o in outcomes for m in o.mismatches[:2]
+        ]
+
+    def test_campaign_cycles_every_telemetry_and_snoop_pair(self):
+        # Telemetry alternates by trace-id parity and the snoop paths
+        # every two trace ids, so four iterations meet all four pairs;
+        # each run-log record names the pair it ran.
+        records = []
+        runlog = SimpleNamespace(
+            record=lambda event, **fields: records.append(fields)
+        )
+        result = run_campaign(
+            iterations=4, ops=8, config_names=("4p-cgct",), runlog=runlog,
+        )
+        assert result.ok
+        assert [(r["telemetry"], r["snoop"]) for r in records] == [
+            (False, "bitmask"), (True, "bitmask"),
+            (False, "walk"), (True, "walk"),
         ]
 
 

@@ -1,9 +1,10 @@
-"""Rebuilding the phase-2 class masks from the tracker masks is exact.
+"""The phase-2 class masks always equal a walk of the RCA arrays.
 
-``Machine._refresh_region_snoop_tables`` derives the per-region class
-masks from ``_region_trackers`` (the regions some RCA holds) instead of
-walking every RCA set. These tests compare that rebuild, after real
-CGCT runs, with a brute-force walk of every set of every RCA.
+A machine builds its per-region class masks empty at construction and
+never re-derives them: every allocation, eviction, line-count crossing
+and external transition updates them in place. These tests compare
+the maintained masks, after real CGCT runs, with a brute-force walk of
+every set of every RCA.
 """
 
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from repro.interconnect.topology import Topology
 from repro.system.machine import Machine
 from repro.system.simulator import Simulator
+from repro.telemetry.registry import TelemetryRegistry
 from repro.workloads.benchmarks import build_benchmark
 
 from tests.conftest import make_config
@@ -36,17 +38,23 @@ def brute_force_classes(machine):
 
 @pytest.mark.parametrize("processors", sorted(SHAPES))
 def test_rebuild_matches_brute_force_walk(processors):
+    # At 16p telemetry is attached too: it only records, so the machine
+    # stays on the inline path and must keep its masks exact.
+    registry = TelemetryRegistry(interval=5_000) if processors == 16 else None
     config = make_config(prefetch=True, topology=SHAPES[processors])
-    simulator = Simulator(config)
+    simulator = Simulator(config, telemetry=registry)
     simulator.run(build_benchmark("barnes", num_processors=processors,
                                   ops_per_processor=1_500))
     machine = simulator.machine
     expected = brute_force_classes(machine)
     assert expected, "the run tracked no regions"
-    assert machine._region_classes == expected
-    machine._refresh_region_snoop_tables()
     assert machine._inline_region_snoop
     assert machine._region_classes == expected
+    trackers = {}
+    for region, masks in expected.items():
+        for mask in masks.values():
+            trackers[region] = trackers.get(region, 0) | mask
+    assert machine._region_trackers == trackers
 
 
 def test_fresh_machine_has_no_class_masks():

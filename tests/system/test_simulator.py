@@ -1,4 +1,7 @@
-"""Multiprocessor run loop, warm-up, and RunResult metrics."""
+"""Multiprocessor run loop, warm-up, RunResult metrics and lifetime."""
+
+import gc
+import weakref
 
 import pytest
 
@@ -158,3 +161,22 @@ class TestRunResultMetrics:
         result = run_workload(make_config(cgct=True), workload)
         # 64 lines = 8 regions per proc: 8 broadcasts, 56 directs each.
         assert result.fraction_avoided() == pytest.approx(56 / 64)
+
+
+class TestLifetime:
+    @pytest.mark.parametrize("cgct", [False, True])
+    def test_finished_machine_is_freed_by_refcount(self, cgct):
+        # No reference cycle may keep a finished machine alive until a
+        # cyclic-GC pass: peak memory of a sweep would then depend on
+        # when the collector happens to run.
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            simulator = Simulator(make_config(cgct=cgct))
+            simulator.run(four_proc_workload(shared=True))
+            machine = weakref.ref(simulator.machine)
+            del simulator
+            assert machine() is None
+        finally:
+            if enabled:
+                gc.enable()

@@ -1,14 +1,17 @@
-"""Holder-bitmask snoop path ≡ peer-walk snoop path, bit for bit.
+"""Bitmask snoop paths ≡ the walk references, bit for bit.
 
-The CGCT fast path replaced the phase-1 per-peer snoop loop with an
-iteration over the maintained holder bitmask — O(holders) per broadcast
-instead of O(P) — with the skipped tag probes reconstructed from
-per-processor broadcast totals. The original loop is kept as
-``snoop="walk"`` precisely so these tests can assert the two paths are
+``snoop="bitmask"`` runs both snoop phases of a broadcast on fast paths:
+phase 1 iterates the maintained holder bitmask — O(holders) per
+broadcast instead of O(P) — with the skipped tag probes reconstructed
+from per-processor broadcast totals, and phase 2 applies the region
+snoop per (state, empty) class over maintained class masks.
+``snoop="walk"`` runs the references: the per-peer phase-1 loop and one
+``node.snoop_region`` per tracker. These tests assert the two are
 indistinguishable: same cycles, same stats, same per-node snoop
-counters, same telemetry aggregates — on hand-built traces, on
-randomized traces, on every benchmark × perf-config × seed cell of the
-matrix, and at 16 processors where holder sets are widest.
+counters, same telemetry (the region-transition matrix included) — on
+hand-built traces, on randomized traces, on every benchmark ×
+perf-config × seed cell of the matrix, and at 16 processors where
+holder sets are widest.
 """
 
 import pytest
@@ -17,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.harness.perfbench import PERF_CONFIGS, bench_config
 from repro.interconnect.topology import Topology
+from repro.system.machine import Machine
 from repro.system.simulator import Simulator
 from repro.telemetry.registry import TelemetryRegistry
 from repro.workloads.benchmarks import BENCHMARKS, build_benchmark
@@ -120,14 +124,19 @@ class TestSnoopEquivalence:
         assert_equivalent(make_config(cgct=False), multitrace(per_proc))
 
     def test_filtered_machines_are_unaffected_by_the_toggle(self):
-        # RegionScout/Jetty machines always run the general snoop loop:
-        # the toggle must be inert there, and results identical.
+        # RegionScout/Jetty machines always run the general phase-1
+        # loop, so without CGCT the toggle is inert. With CGCT + Jetty it
+        # still picks phase 2: the bitmask side keeps its class masks
+        # through the stacked-filter residency closures.
         for overrides in (
             dict(cgct=False, regionscout_enabled=True),
             dict(cgct=False, jetty_enabled=True),
         ):
             config = make_config(**overrides)
             assert_equivalent(config, contended_workload())
+        config = make_config(cgct=True, jetty_enabled=True)
+        assert_equivalent(config, contended_workload(), telemetry=True)
+        assert Machine(config, snoop="bitmask")._inline_region_snoop
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -215,38 +224,61 @@ class TestSixteenProcessorHolderSets:
         assert results["walk"] == results["bitmask"]
 
 
-class TestInlineRegionSnoopEquivalence:
-    """Class-mask phase-2 snoops ≡ canonical per-node region snoops.
+def audit_masks(machine):
+    """Assert the maintained class and tracker masks equal a brute-force
+    walk of every set of every RCA; return the walk's (classes, trackers).
+    """
+    classes = {}
+    trackers = {}
+    for node in machine.nodes:
+        node_bit = 1 << node.proc_id
+        for entries in node.rca._sets:
+            for entry in entries.values():
+                c = (entry.state.index << 1) | (entry.line_count == 0)
+                cls = classes.setdefault(entry.region, {})
+                cls[c] = cls.get(c, 0) | node_bit
+                trackers[entry.region] = (
+                    trackers.get(entry.region, 0) | node_bit
+                )
+    assert machine._region_classes == classes
+    assert machine._region_trackers == trackers
+    return classes, trackers
 
-    A plain CGCT machine runs phase-2 region snoops inline over the
-    per-region class masks; attaching telemetry replaces the protocols
-    with recording ones, which disqualifies the inline path and routes
-    every region snoop through the canonical ``node.snoop_region`` walk.
-    Running the same trace both ways therefore differentially tests the
-    entire class-mask machinery — mask maintenance across allocations,
-    evictions, self-invalidations, line-count crossings and external
-    transitions — against the reference implementation.
+
+class TestInlineRegionSnoopEquivalence:
+    """Class-mask phase-2 snoops ≡ per-tracker ``node.snoop_region``.
+
+    A bitmask machine runs phase-2 region snoops inline over the
+    per-region class masks; a walk machine runs the canonical
+    ``node.snoop_region`` for every tracker. Telemetry is on for both:
+    it only records, so the bitmask side stays on the inline path and
+    its transition matrix must match the walk's cell for cell. Running
+    the same trace both ways differentially tests the entire class-mask
+    machinery — mask maintenance across allocations, evictions,
+    self-invalidations, line-count crossings and external transitions,
+    and the transitions it records — against the reference.
     """
 
     @staticmethod
     def _compare(config, workload, seed=0):
-        plain_sim, plain_run, _ = run_with("bitmask", config, workload, seed)
-        tel_sim, tel_run, tel_reg = run_with(
-            "bitmask", config, workload, seed, telemetry=True
-        )
-        # Guard the premise: the plain machine must actually be on the
-        # inline path and the instrumented one on the canonical walk —
-        # otherwise this test silently compares the walk to itself.
-        assert plain_sim.machine._inline_region_snoop
-        assert not tel_sim.machine._inline_region_snoop
-        plain_fp = fingerprint(plain_sim, plain_run, None)
-        tel_fp = fingerprint(tel_sim, tel_run, tel_reg)
-        tel_fp.pop("telemetry")
-        assert plain_fp == tel_fp
-        return plain_sim
+        walk = run_with("walk", config, workload, seed, telemetry=True)
+        fast = run_with("bitmask", config, workload, seed, telemetry=True)
+        # Guard the premise: telemetry must not push the bitmask machine
+        # off the inline path — otherwise this test silently compares
+        # the walk to itself.
+        assert fast[0].machine._inline_region_snoop
+        assert not walk[0].machine._inline_region_snoop
+        assert fingerprint(*walk) == fingerprint(*fast)
+        audit_masks(fast[0].machine)
+        return fast
 
     def test_contended_trace(self):
-        self._compare(make_config(cgct=True), contended_workload())
+        _sim, _run, registry = self._compare(
+            make_config(cgct=True), contended_workload()
+        )
+        # The inline phase 2 really recorded external transitions.
+        cells = registry.get("rca.transitions").counts
+        assert any(event.startswith("external.") for _, event, _ in cells)
 
     def test_with_timing_perturbation(self):
         config = make_config(cgct=True, perturbation=16)
@@ -273,6 +305,21 @@ class TestInlineRegionSnoopEquivalence:
             config = make_config(cgct=True, **overrides)
             self._compare(config, contended_workload())
 
+    def test_single_node_region_snoops_keep_masks_exact(self):
+        # The owner-prediction probe and the region-state prefetch snoop
+        # single nodes through node.snoop_region; the bitmask side must
+        # mirror their class changes into the masks.
+        for overrides in (
+            dict(region_state_prefetch=True),
+            dict(owner_prediction=True, region_state_prefetch=True),
+        ):
+            config = make_config(cgct=True, **overrides)
+            self._compare(config, contended_workload(procs=4, lines=48))
+            trace = build_benchmark(
+                "tpc-w", num_processors=4, ops_per_processor=400, seed=0
+            )
+            self._compare(config, trace)
+
     def test_benchmark_trace_at_16p(self):
         config = make_config(
             cgct=True,
@@ -295,30 +342,17 @@ class TestInlineRegionSnoopEquivalence:
         self._compare(config, trace, seed=2)
 
     def test_class_masks_audit_against_arrays(self):
-        # After a run the maintained per-region class masks must agree
-        # exactly with a from-scratch rebuild off the RCA arrays — the
+        # The class masks start empty and are never re-derived, so after
+        # a run under RCA pressure they must agree exactly with a
+        # brute-force walk of every set of every RCA — the
         # eager-maintenance invariant behind the inline snoop loop.
-        sim = self._compare(
+        # (Barnes with prefetching at 4p/16p and the fresh machine are
+        # audited in test_region_class_rebuild.py.)
+        fast_sim, _run, _registry = self._compare(
             make_config(cgct=True, rca_sets=8), contended_workload(lines=40)
         )
-        machine = sim.machine
-        expected_classes = {}
-        expected_trackers = {}
-        for node in machine.nodes:
-            if node.rca is None:
-                continue
-            node_bit = 1 << node.proc_id
-            for entry in node.rca.entries():
-                c = (entry.state.index << 1) | (
-                    1 if entry.line_count == 0 else 0
-                )
-                cls = expected_classes.setdefault(entry.region, {})
-                cls[c] = cls.get(c, 0) | node_bit
-                expected_trackers[entry.region] = (
-                    expected_trackers.get(entry.region, 0) | node_bit
-                )
-        assert machine._region_classes == expected_classes
-        assert machine._region_trackers == expected_trackers
+        classes, _trackers = audit_masks(fast_sim.machine)
+        assert classes, "the run tracked no regions"
 
     @settings(max_examples=12, deadline=None)
     @given(
