@@ -13,11 +13,13 @@ captured workload:
   :func:`~repro.workloads.benchmarks.build_benchmark`, so trace-driven
   runs flow through the simulator, harness, workload cache, and
   conformance machinery unchanged.
-* :mod:`repro.traces.profiler` — one streaming pass computing the
-  reuse-distance histogram (exact Olken/Fenwick stack distances),
-  per-region sharing footprints, and the oracle Figure-2
-  broadcast-needed/unnecessary profile straight from the trace (golden
-  may-hold model, no simulation).
+* :mod:`repro.traces.profiler` — one streaming pass, vectorised over
+  blocks of records, computing the reuse-distance histogram (exact LRU
+  stack distances from the lines' sorted last positions plus in-block
+  dominance counting), per-region sharing footprints,
+  and the oracle Figure-2 broadcast-needed/unnecessary profile
+  straight from the trace (the golden may-hold model evaluated with
+  segmented scans, no simulation).
 * :mod:`repro.traces.sample` — a region-aligned spatial sampler
   (hash-of-region-id mod rate) that shrinks large traces to
   simulator-sized ones while preserving those profiles, emitting a

@@ -1,28 +1,44 @@
-"""Single-pass trace profiling: reuse distance, sharing, Figure-2 oracle.
+"""Trace profiling: reuse distance, sharing, Figure-2 oracle.
 
 One streaming pass over an event stream (see :mod:`repro.traces.reader`)
-computes three profiles at once, without running the simulator:
+computes three profiles at once, without running the simulator. Each
+chunk is profiled in blocks of at most 65 536 records by whole-block
+numpy passes; no Python code runs per record.
 
 * **Reuse-distance histogram** — for every access, the number of
   *distinct* cache lines touched since the previous access to the same
-  line (the LRU stack distance), computed exactly with an Olken-style
-  Fenwick tree over access positions: O(log N) per access. First
-  touches count as *cold*. Finite distances land in power-of-two
-  buckets (``0``, ``1``, ``2-3``, ``4-7``, …).
-* **Per-region sharing footprint** — per region: reader/writer
-  processor bitmasks, access counts, and *upgrades* (the first write by
-  a processor that had previously only read the region). Aggregated
+  line (the LRU stack distance), computed exactly from the identity
+  ``distance(t) = #{q < t : prev(q) < p} - (p + 1)`` with ``p =
+  prev(t)`` (0-based positions, ``prev = -1`` for a first touch).
+  Earlier blocks' counts come from one bulk binary search in the
+  ascending last positions of all lines (Olken's marks, kept as a
+  sorted array); counts inside the block from sort-based dominance
+  counting, one vectorised pass per bit level. O(log N) work per
+  access. First touches count as *cold*. Finite distances land in
+  power-of-two buckets (``0``, ``1``, ``2-3``, ``4-7``, …).
+* **Per-region sharing footprint** — per (region, processor): whether
+  it read or wrote the region, and *upgrades* (the first write by a
+  processor that had previously only read the region). Aggregated
   into the sharer-count histogram and shared/write-shared fractions.
 * **Oracle Figure-2 profile** — every access is judged by the
   conformance suite's golden may-hold model
   (:class:`repro.conformance.golden.GoldenModel`): would a broadcast
   have been *needed* (some remote processor may hold the line — or, for
   instruction fetches, may hold it dirty), or would it have been
-  unnecessary? This is the paper's Figure 2 upper bound computed
-  directly from the trace. Note the denominator: the profile judges
-  **every access**, while the live machine's Figure 2 counters classify
-  only *external requests* (cache misses); ``docs/traces.md`` spells
-  out the exact reconciliation the differential tests pin.
+  unnecessary? The verdicts are computed with stable sorts by line and
+  segmented scans over the model's epochs (a write or purge resets a
+  line's holders), with no processor bitmasks, so any processor count
+  the binary format allows works. This is the paper's Figure 2 upper
+  bound computed directly from the trace. Note the denominator: the
+  profile judges **every access**, while the live machine's Figure 2
+  counters classify only *external requests* (cache misses);
+  ``docs/traces.md`` spells out the exact reconciliation the
+  differential tests pin.
+
+Memory: temporaries are bounded by the block size. The carried state
+grows with the trace's footprint, not its length: about 33 bytes per
+distinct line, 16 per region and 10 per (region, processor) pair.
+Updating the sorted tables costs O(footprint) per block.
 
 All three profiles are pure functions of the event stream *order*, so
 they are invariant to reader chunking; for in-memory workloads the
@@ -33,7 +49,12 @@ own region — preserved *exactly* by region-aligned sampling) and an
 inter-region part (thinned by the sampling rate); only the latter is
 multiplied back up before bucketing, which makes the sampled histogram
 directly comparable to the full trace's even when reuse is dominated by
-short spatial-locality distances.
+short spatial-locality distances. The intra-region count is taken one
+region-mate offset at a time, vectorised over the block.
+
+``tests/traces/reference_profiler.py`` holds the record-at-a-time
+reference (Fenwick tree + golden model step per access) this module is
+checked against field for field.
 """
 
 from __future__ import annotations
@@ -43,8 +64,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Union
 
+import numpy as np
+
 from repro.common.errors import WorkloadError
-from repro.conformance.golden import GoldenModel
 from repro.traces.reader import EventChunk, read_events, workload_to_events
 from repro.workloads.trace import MultiTrace, TraceOp
 
@@ -54,40 +76,15 @@ PROFILE_SCHEMA = "cgct-trace-profile/v1"
 #: Trace operations that write the line (mirror of the golden model).
 _WRITE_OPS = (int(TraceOp.STORE), int(TraceOp.DCBZ))
 
-#: Trace operations that read (install a clean copy).
-_READ_OPS = (int(TraceOp.LOAD), int(TraceOp.IFETCH))
+#: Trace operations that purge the line from every cache.
+_PURGE_OPS = (int(TraceOp.DCBF), int(TraceOp.DCBI))
 
+_IFETCH = int(TraceOp.IFETCH)
+_NUM_OPS = max(TraceOp) + 1
+_OP_NAMES = [TraceOp(code).name for code in range(_NUM_OPS)]
 
-class _Fenwick:
-    """Binary indexed tree over access positions (1-based).
-
-    The profiler marks the most recent position of every live line;
-    when the clock outgrows the capacity, it rebuilds a doubled tree
-    from those marks (O(lines · log N), amortized away by the
-    doubling).
-    """
-
-    __slots__ = ("tree", "size")
-
-    def __init__(self, size: int = 1024, marks: Iterable[int] = ()) -> None:
-        self.size = size
-        self.tree = [0] * (size + 1)
-        for mark in marks:
-            self.add(mark, 1)
-
-    def add(self, index: int, delta: int) -> None:
-        tree = self.tree
-        while index <= self.size:
-            tree[index] += delta
-            index += index & -index
-
-    def prefix(self, index: int) -> int:
-        total = 0
-        tree = self.tree
-        while index > 0:
-            total += tree[index]
-            index -= index & -index
-        return total
+#: Most records one vectorised step works on; it bounds the temporaries.
+_BLOCK = 65_536
 
 
 @dataclass
@@ -101,14 +98,6 @@ class ReuseDistanceHistogram:
     #: bucket index -> count; bucket 0 is distance 0, bucket k>=1 holds
     #: distances in [2^(k-1), 2^k).
     buckets: Dict[int, int] = field(default_factory=dict)
-
-    def record(self, distance: int) -> None:
-        self.finite += 1
-        self.total_distance += distance
-        if distance > self.max_distance:
-            self.max_distance = distance
-        bucket = distance.bit_length()
-        self.buckets[bucket] = self.buckets.get(bucket, 0) + 1
 
     @property
     def mean(self) -> float:
@@ -133,22 +122,6 @@ class ReuseDistanceHistogram:
             "max": self.max_distance,
             "buckets": rows,
         }
-
-
-@dataclass
-class RegionFootprint:
-    """One region's sharing summary."""
-
-    readers: int = 0   # processor bitmask
-    writers: int = 0   # processor bitmask
-    reads: int = 0
-    writes: int = 0
-    flushes: int = 0
-    upgrades: int = 0
-
-    @property
-    def sharers(self) -> int:
-        return bin(self.readers | self.writers).count("1")
 
 
 @dataclass
@@ -246,11 +219,14 @@ class TraceProfile:
 
 
 class TraceProfiler:
-    """Single-pass streaming profiler; feed chunks, then ``finish()``.
+    """Streaming profiler; feed chunks, then ``finish()``.
 
-    ``num_processors`` may be None: it is learned from the stream (the
-    golden model only needs processor ids, not the machine width, until
-    the final report).
+    Each chunk is profiled in blocks of at most :data:`_BLOCK` records
+    with whole-block numpy passes. What carries from block to block is
+    per-line state (last position, oracle holder/dirty state), the
+    lines' last positions in ascending order, and per-(region,
+    processor) read/write flags. ``num_processors`` may be None: it is
+    learned from the stream.
     """
 
     def __init__(
@@ -281,111 +257,284 @@ class TraceProfiler:
         self.declared_processors = num_processors
         self.top_proc = -1
         self.accesses = 0
-        self.op_counts = [0] * (max(TraceOp) + 1)
         self.reuse = ReuseDistanceHistogram()
-        self.oracle = OracleProfile()
-        self.regions: Dict[int, RegionFootprint] = {}
-        # Reuse-distance state: most recent position per line + Fenwick
-        # marks over positions (position t marked iff it is some line's
-        # most recent access).
-        self._last_pos: Dict[int, int] = {}
-        self._fenwick = _Fenwick()
-        self._clock = 0
-        # Golden model: processor count finalized at finish(); 64 covers
-        # every machine the repo builds and the model only masks bits.
-        self._golden = GoldenModel(64)
-        self._op_names = [op.name for op in TraceOp]
+        self._op_counts = np.zeros(_NUM_OPS, np.int64)
+        #: [op, 0] needed / [op, 1] unnecessary verdict counts.
+        self._verdicts = np.zeros((_NUM_OPS, 2), np.int64)
+        # Per-line state, sorted by line number: last access position,
+        # one may-holder (-1: none), whether a second distinct
+        # processor may also hold it, and the dirty owner (-1: clean).
+        self._lines = np.empty(0, np.uint64)
+        self._last = np.empty(0, np.int64)
+        self._holder = np.empty(0, np.int32)
+        self._multi = np.empty(0, bool)
+        self._dirty = np.empty(0, np.int32)
+        # The same last positions, ascending.
+        self._last_ascending = np.empty(0, np.int64)
+        # Regions, sorted, with ids stable across blocks; and the
+        # (region id << 32 | proc) pairs that read or wrote them.
+        self._regions = np.empty(0, np.uint64)
+        self._region_ids = np.empty(0, np.int64)
+        self._pairs = np.empty(0, np.int64)
+        self._pair_read = np.empty(0, bool)
+        self._pair_written = np.empty(0, bool)
+        self._upgrades = 0
 
     # ------------------------------------------------------------------
     def feed(self, chunk: EventChunk) -> None:
         """Consume one event chunk (stream order is the interleaving)."""
-        procs = chunk.procs.tolist()
-        ops = chunk.ops.tolist()
-        addresses = chunk.addresses.tolist()
-        line_shift = self.line_shift
-        region_shift = self.region_shift
+        for start in range(0, len(chunk), _BLOCK):
+            stop = start + _BLOCK
+            self._block(
+                chunk.procs[start:stop].astype(np.int64, copy=False),
+                chunk.ops[start:stop].astype(np.int64),
+                chunk.addresses[start:stop].astype(np.uint64, copy=False),
+            )
+
+    def _block(self, procs: np.ndarray, ops: np.ndarray,
+               addresses: np.ndarray) -> None:
+        n = len(procs)
+        start = self.accesses
+        self.accesses += n
+        self.top_proc = max(self.top_proc, int(procs.max()))
+        self._op_counts += np.bincount(ops, minlength=_NUM_OPS)
+        is_write = np.isin(ops, _WRITE_OPS)
+        is_purge = np.isin(ops, _PURGE_OPS)
+
+        # Group the block by line; within a line, positions ascend.
+        lines = addresses >> np.uint64(self.line_shift)
+        order = np.argsort(lines, kind="stable")
+        sorted_lines = lines[order]
+        first = np.ones(n, bool)
+        first[1:] = sorted_lines[1:] != sorted_lines[:-1]
+        unique_lines = sorted_lines[first]
+        run = np.cumsum(first) - 1
+        slot, known = _lookup(self._lines, unique_lines)
+        carried = slot[known]
+
+        # prev(t): the line's previous position, -1 for a first touch.
+        prev_sorted = np.empty(n, np.int64)
+        prev_sorted[1:] = start + order[:-1]
+        prev_sorted[first] = -1
+        first_at = np.flatnonzero(first)
+        prev_sorted[first_at[known]] = self._last[carried]
+        prev = np.empty(n, np.int64)
+        prev[order] = prev_sorted
+
+        last_at = np.append(first_at[1:] - 1, n - 1)
+
+        self._reuse(prev, start, lines, order, run, unique_lines)
+        holder, multi, dirty = self._oracle(
+            procs[order], ops[order], is_write[order], is_purge[order],
+            first, last_at, known, carried)
+        self._sharing(procs, addresses, is_write, is_purge)
+
+        # Fold the block's per-line outcome into the line table.
+        last = start + order[last_at]
+        ascending = self._last_ascending
+        self._last_ascending = np.append(
+            np.delete(ascending,
+                      np.searchsorted(ascending, self._last[carried])),
+            np.sort(last))
+        self._last[carried] = last[known]
+        self._holder[carried] = holder[known]
+        self._multi[carried] = multi[known]
+        self._dirty[carried] = dirty[known]
+        new = ~known
+        at = slot[new]
+        self._lines = np.insert(self._lines, at, unique_lines[new])
+        self._last = np.insert(self._last, at, last[new])
+        self._holder = np.insert(self._holder, at, holder[new])
+        self._multi = np.insert(self._multi, at, multi[new])
+        self._dirty = np.insert(self._dirty, at, dirty[new])
+
+    # ------------------------------------------------------------------
+    def _reuse(self, prev, start, lines, order, run,
+               unique_lines) -> None:
+        """Exact LRU stack distances of the block's warm accesses.
+
+        With 0-based positions and prev = -1 for first touches, the
+        distinct lines between p = prev(t) and t number
+        ``#{q < t : prev(q) < p} - (p + 1)``: every q <= p counts, and
+        after p exactly each line's first access counts. This block's q
+        come from :func:`_earlier_smaller`. Of the earlier q, with
+        b = min(p, start), all q < b count, and the q in [b, start) with
+        prev(q) < b number exactly the lines whose last position before
+        the block is >= b: every other position in [b, start) is prev(q)
+        of one q in that range.
+        """
+        n = len(prev)
+        within = _earlier_smaller(prev)
+        warm = prev >= 0
+        p = prev[warm]
+        b = np.minimum(p, start)
+        ascending = self._last_ascending
+        since = len(ascending) - np.searchsorted(ascending, b)
+        distance = b + since + within[warm] - (p + 1)
+        self.reuse.cold += n - len(p)
+        if not len(p):
+            return
         scale = self.distance_scale
-        region_line_shift = region_shift - line_shift
-        lines_per_region = 1 << region_line_shift
-        last_pos = self._last_pos
-        fenwick = self._fenwick
-        reuse = self.reuse
-        regions = self.regions
-        golden = self._golden
-        oracle = self.oracle
-        per_op = oracle.per_op
-        op_names = self._op_names
-        op_counts = self.op_counts
-        clock = self._clock
-        for proc, op, address in zip(procs, ops, addresses):
-            if proc > self.top_proc:
-                self.top_proc = proc
-            op_counts[op] += 1
-            line = address >> line_shift
-            region = address >> region_shift
+        if scale != 1:
+            t = np.flatnonzero(warm)
+            far = distance > 0
+            same = self._same_region(
+                lines[t[far]], t[far], p[far] - start, start, order, run,
+                unique_lines)
+            distance[far] = same + (distance[far] - same) * scale
+        buckets = np.bincount(np.frexp(distance)[1])
+        histogram = self.reuse
+        histogram.finite += len(distance)
+        histogram.total_distance += int(distance.sum())
+        histogram.max_distance = max(histogram.max_distance,
+                                     int(distance.max()))
+        for bucket in np.flatnonzero(buckets).tolist():
+            histogram.buckets[bucket] = \
+                histogram.buckets.get(bucket, 0) + int(buckets[bucket])
 
-            # Reuse distance (Olken/Fenwick).
-            clock += 1
-            if clock > fenwick.size:
-                fenwick = self._fenwick = _Fenwick(
-                    fenwick.size * 2, marks=last_pos.values(),
-                )
-            previous = last_pos.get(line)
-            if previous is None:
-                reuse.cold += 1
-            else:
-                distance = fenwick.prefix(clock - 1) \
-                    - fenwick.prefix(previous)
-                if scale != 1 and distance:
-                    # Region-aware SHARDS correction: region-aligned
-                    # sampling keeps a line's region-mates, so the
-                    # intra-region part of the distance is *exact* and
-                    # only inter-region lines were thinned by `rate`.
-                    # The region holds <= region/line lines; scan them.
-                    base = (line >> region_line_shift) << region_line_shift
-                    same = 0
-                    for mate in range(base, base + lines_per_region):
-                        if mate != line:
-                            pos = last_pos.get(mate)
-                            if pos is not None and pos > previous:
-                                same += 1
-                    distance = same + (distance - same) * scale
-                reuse.record(distance)
-                fenwick.add(previous, -1)
-            fenwick.add(clock, 1)
-            last_pos[line] = clock
+    def _same_region(self, lines, t, p, start, order, run,
+                     unique_lines) -> np.ndarray:
+        """For the region-aware SHARDS correction: how many of each
+        line's region-mates were touched between p and t (both block
+        offsets; p may be negative)."""
+        n = len(order)
+        # Block accesses keyed (line run, offset), ascending.
+        keys = run * n + order
+        region_line_shift = np.uint64(self.region_shift - self.line_shift)
+        base = (lines >> region_line_shift) << region_line_shift
+        same = np.zeros(len(lines), np.int64)
+        for offset in range(1 << int(region_line_shift)):
+            mate = base + np.uint64(offset)
+            # The mate's last position before t: in this block if it
+            # was touched here before t, else the carried table entry.
+            slot, present = _lookup(unique_lines, mate)
+            key = np.searchsorted(keys, slot * n + t) - 1
+            in_block = present & (key >= 0)
+            in_block[in_block] = run[key[in_block]] == slot[in_block]
+            seen = np.full(len(lines), -1 - start, np.int64)
+            seen[in_block] = order[key[in_block]]
+            outside = np.flatnonzero(~in_block)
+            old_slot, old = _lookup(self._lines, mate[outside])
+            seen[outside[old]] = self._last[old_slot[old]] - start
+            # The line itself was last seen at p, so it never counts.
+            same += seen > p
+        return same
 
-            # Region sharing footprint.
-            footprint = regions.get(region)
-            if footprint is None:
-                footprint = regions[region] = RegionFootprint()
-            bit = 1 << proc
-            if op in _WRITE_OPS:
-                if (footprint.readers & bit) \
-                        and not (footprint.writers & bit):
-                    footprint.upgrades += 1
-                footprint.writers |= bit
-                footprint.writes += 1
-            elif op in _READ_OPS:
-                footprint.readers |= bit
-                footprint.reads += 1
-            else:  # DCBF / DCBI purge; count them, they share nothing
-                footprint.flushes += 1
+    # ------------------------------------------------------------------
+    def _oracle(self, procs, ops, is_write, is_purge, first, last, known,
+                carried):
+        """Golden may-hold verdicts for the block, grouped by line.
 
-            # Oracle Figure 2 verdict (golden may-hold model).
-            verdict = golden.access(proc, TraceOp(op), line)
-            name = op_names[op]
-            cell = per_op.get(name)
-            if cell is None:
-                cell = per_op[name] = [0, 0]
-            if verdict.must_broadcast:
-                oracle.needed += 1
-                cell[0] += 1
-            else:
-                oracle.unnecessary += 1
-                cell[1] += 1
-        self._clock = clock
-        self.accesses += len(procs)
+        The golden model's holder set only ever grows by reads until a
+        write (holders = {writer}) or a purge (holders = {}) resets it,
+        so each line's accesses split into epochs. Within an epoch a
+        verdict needs the epoch's first holder F, whether some other
+        processor already joined, and the dirty owner, which only a
+        reset moves. Returns the per-line state after the block.
+        """
+        reset = is_write | is_purge
+        is_read = ~reset
+        begin = first.copy()
+        begin[1:] |= reset[:-1]
+        epoch = np.cumsum(begin) - 1
+        e0 = np.flatnonzero(begin)
+
+        # Each epoch's starting state: carried for a line's first
+        # access in the block, else what the reset before it left.
+        base_holder = np.full(len(e0), -1, np.int64)
+        base_multi = np.zeros(len(e0), bool)
+        from_line = first[e0]
+        line_epochs = np.flatnonzero(from_line)[known]
+        base_holder[line_epochs] = self._holder[carried]
+        base_multi[line_epochs] = self._multi[carried]
+        base_dirty = base_holder.copy()
+        base_dirty[line_epochs] = self._dirty[carried]
+        after = ~from_line
+        reset_at = e0[after] - 1
+        base_holder[after] = np.where(is_write[reset_at], procs[reset_at],
+                                      -1)
+        base_dirty[after] = base_holder[after]
+
+        # F: the base holder, else the epoch's first reader.
+        head = base_holder.copy()
+        reads = np.flatnonzero(is_read)
+        read_epochs = epoch[reads]
+        opens = np.ones(len(reads), bool)
+        opens[1:] = read_epochs[1:] != read_epochs[:-1]
+        opener = read_epochs[opens]
+        head[opener] = np.where(head[opener] < 0, procs[reads[opens]],
+                                head[opener])
+
+        def before_in_epoch(flags):
+            """How many earlier accesses of the same epoch have *flags*."""
+            before = np.cumsum(flags) - flags
+            return before - before[e0[epoch]]
+
+        f = head[epoch]
+        differ = is_read & (procs != f)
+        others = before_in_epoch(differ)
+        held = (base_holder[epoch] >= 0) | (before_in_epoch(is_read) > 0)
+        needed = held & ((others > 0) | base_multi[epoch] | (f != procs))
+        dirty = base_dirty[epoch]
+        fetch = ops == _IFETCH
+        needed[fetch] = (dirty[fetch] >= 0) & (dirty[fetch] != procs[fetch])
+        self._verdicts += np.bincount(
+            ops * 2 + ~needed, minlength=2 * _NUM_OPS,
+        ).reshape(_NUM_OPS, 2)
+
+        # State after each line's last access in the block.
+        last_epoch = epoch[last]
+        left = np.where(is_write[last], procs[last], -1)
+        ends_reset = reset[last]
+        holder = np.where(ends_reset, left, head[last_epoch])
+        multi = ~ends_reset & (base_multi[last_epoch]
+                               | (others[last] + differ[last] > 0))
+        dirty = np.where(ends_reset, left, base_dirty[last_epoch])
+        return holder, multi, dirty
+
+    # ------------------------------------------------------------------
+    def _sharing(self, procs, addresses, is_write, is_purge) -> None:
+        """Per-(region, processor) read/write flags and upgrades."""
+        regions = addresses >> np.uint64(self.region_shift)
+        unique_regions, region_of = np.unique(regions, return_inverse=True)
+        slot, known = _lookup(self._regions, unique_regions)
+        ids = np.empty(len(unique_regions), np.int64)
+        ids[known] = self._region_ids[slot[known]]
+        new = ~known
+        ids[new] = len(self._regions) + np.arange(int(new.sum()))
+        self._regions = np.insert(self._regions, slot[new],
+                                  unique_regions[new])
+        self._region_ids = np.insert(self._region_ids, slot[new], ids[new])
+
+        # Flushes touch the region but make no processor a sharer.
+        touching = ~is_purge
+        pairs = (ids[region_of[touching]] << 32) | procs[touching]
+        writes = is_write[touching]
+        unique_pairs, pair_of = np.unique(pairs, return_inverse=True)
+        steps = np.arange(len(pairs))
+        first_read = np.full(len(unique_pairs), len(pairs), np.int64)
+        first_write = first_read.copy()
+        np.minimum.at(first_read, pair_of[~writes], steps[~writes])
+        np.minimum.at(first_write, pair_of[writes], steps[writes])
+        read = first_read < len(pairs)
+        written = first_write < len(pairs)
+
+        slot, known = _lookup(self._pairs, unique_pairs)
+        had = slot[known]
+        was_read = np.zeros(len(unique_pairs), bool)
+        was_written = was_read.copy()
+        was_read[known] = self._pair_read[had]
+        was_written[known] = self._pair_written[had]
+        # An upgrade: a processor's first write to a region it had read.
+        self._upgrades += int(np.count_nonzero(
+            written & ~was_written & (was_read | (first_read < first_write))))
+        self._pair_read[had] |= read[known]
+        self._pair_written[had] |= written[known]
+        new = ~known
+        self._pairs = np.insert(self._pairs, slot[new], unique_pairs[new])
+        self._pair_read = np.insert(self._pair_read, slot[new], read[new])
+        self._pair_written = np.insert(self._pair_written, slot[new],
+                                       written[new])
 
     # ------------------------------------------------------------------
     def finish(self) -> TraceProfile:
@@ -398,17 +547,19 @@ class TraceProfiler:
                 f"trace events name processor {self.top_proc} but only "
                 f"{width} processors were declared"
             )
-        shared = write_shared = upgrades = 0
-        sharer_histogram: Dict[int, int] = {}
-        for footprint in self.regions.values():
-            sharers = footprint.sharers
-            sharer_histogram[sharers] = \
-                sharer_histogram.get(sharers, 0) + 1
-            if sharers >= 2:
-                shared += 1
-                if footprint.writers:
-                    write_shared += 1
-            upgrades += footprint.upgrades
+        owners = self._pairs >> 32
+        sharers = np.bincount(owners, minlength=len(self._regions))
+        written = np.bincount(owners[self._pair_written],
+                              minlength=len(self._regions)) > 0
+        counts, occurrences = np.unique(sharers, return_counts=True)
+        shared = sharers >= 2
+        oracle = OracleProfile()
+        for code, count in enumerate(self._op_counts.tolist()):
+            if count:
+                needed, unnecessary = self._verdicts[code].tolist()
+                oracle.per_op[_OP_NAMES[code]] = [needed, unnecessary]
+                oracle.needed += needed
+                oracle.unnecessary += unnecessary
         return TraceProfile(
             accesses=self.accesses,
             num_processors=width,
@@ -416,19 +567,67 @@ class TraceProfiler:
             region_bytes=self.region_bytes,
             distance_scale=self.distance_scale,
             op_counts={
-                self._op_names[code]: count
-                for code, count in enumerate(self.op_counts)
+                _OP_NAMES[code]: count
+                for code, count in enumerate(self._op_counts.tolist())
                 if count
             },
             reuse=self.reuse,
-            oracle=self.oracle,
-            regions_touched=len(self.regions),
-            regions_shared=shared,
-            regions_write_shared=write_shared,
-            upgrades=upgrades,
-            sharer_histogram=sharer_histogram,
-            lines_touched=len(self._last_pos),
+            oracle=oracle,
+            regions_touched=len(self._regions),
+            regions_shared=int(np.count_nonzero(shared)),
+            regions_write_shared=int(np.count_nonzero(shared & written)),
+            upgrades=self._upgrades,
+            sharer_histogram=dict(zip(counts.tolist(),
+                                      occurrences.tolist())),
+            lines_touched=len(self._lines),
         )
+
+
+def _lookup(table: np.ndarray, keys: np.ndarray):
+    """Slots of *keys* in the sorted *table*, and which are present."""
+    slot = np.searchsorted(table, keys)
+    known = slot < len(table)
+    known[known] = table[slot[known]] == keys[known]
+    return slot, known
+
+
+def _earlier_smaller(values: np.ndarray) -> np.ndarray:
+    """For each i, how many j < i have ``values[j] < values[i]``.
+
+    Ranks break ties latest-first, so equal values never count. Then,
+    bit level by bit level from the top, each element with a 1 at that
+    rank bit counts the earlier elements of its group (same higher rank
+    bits) with a 0 there. The elements are kept ordered by group and,
+    within a group, by stream position, so each group occupies the
+    positions equal to its ranks; a stable split on the bit refines the
+    order for the next level. O(n log n), one vectorised pass per level.
+    """
+    n = len(values)
+    positions = np.arange(n, dtype=np.int32)
+    by_rank = np.argsort((values + 1) * n + (n - 1 - positions))
+    ranks = np.empty(n, np.int32)
+    ranks[by_rank] = positions
+    counts = np.zeros(n, np.int32)
+    # ranks and counts are kept in sequence order; the last level
+    # leaves every element at the position of its rank.
+    for level in reversed(range(max(n - 1, 1).bit_length())):
+        one = (ranks >> level) & 1
+        zero = 1 - one
+        zeros_before = np.cumsum(zero, dtype=np.int32) - zero
+        group = ranks >> (level + 1) << (level + 1)
+        zeros_before -= zeros_before[group]
+        counts += one * zeros_before
+        target = np.where(one, (1 << level) + positions - zeros_before,
+                          group + zeros_before)
+        refined = np.empty_like(ranks)
+        refined[target] = ranks
+        ranks = refined
+        refined = np.empty_like(counts)
+        refined[target] = counts
+        counts = refined
+    within = np.empty(n, np.int64)
+    within[by_rank] = counts
+    return within
 
 
 # ----------------------------------------------------------------------

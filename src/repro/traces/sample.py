@@ -168,8 +168,11 @@ def sample_file(
     """Sample a trace file and emit the sample-vs-full error report.
 
     Three streaming passes (full profile, filtered write, sampled
-    profile), constant memory in the trace length. Returns the report
-    dict; the caller decides where to persist it.
+    profile). Each reads the trace chunk by chunk, but the profiler
+    keeps state per distinct line, region and (region, processor) pair
+    (see :mod:`repro.traces.profiler`), so memory grows with the
+    trace's footprint. Returns the report dict; the caller decides
+    where to persist it.
     """
     src, dst = Path(src), Path(dst)
     info = detect_format(src)

@@ -9,14 +9,21 @@ of the trace file, not just its path.
 
 from __future__ import annotations
 
+import time
 from pathlib import Path
+
+import pytest
 
 from repro.harness.cache import cache_key
 from repro.harness.runcache import RunCache
 from repro.harness.sweep import ConfigSweep
 from repro.system.config import SystemConfig
 from repro.system.simulator import run_workload
-from repro.traces.reader import load_workload, save_workload
+from repro.traces.reader import (
+    load_workload,
+    save_workload,
+    trace_file_digest,
+)
 from repro.workloads.benchmarks import build_benchmark
 from repro.workloads.store import WorkloadStore
 
@@ -88,6 +95,25 @@ def test_cache_key_tracks_trace_file_content(tmp_path):
     # Non-trace names are untouched by the digest fold-in.
     assert cache_key(config, "barnes", 100, version="pinned") == \
         cache_key(config, "barnes", 100, version="pinned")
+
+
+@pytest.mark.parametrize("name,format", [
+    ("t.csv.gz", "csv"), ("t.bin.gz", "binary")])
+def test_gzip_sinks_are_byte_identical_across_writes(
+        tmp_path, monkeypatch, name, format):
+    """Rewriting the same content later must not change the file: the
+    gzip header carries no wall-clock time, so the digest (and every
+    cache key built on it) stays put."""
+    workload = load_workload(MIDSIZE, ops_per_processor=100)
+    path = tmp_path / name
+    save_workload(workload, path, format)
+    first = path.read_bytes()
+    digest = trace_file_digest(path)
+    later = time.time() + 3600
+    monkeypatch.setattr(time, "time", lambda: later)
+    save_workload(workload, path, format)
+    assert path.read_bytes() == first
+    assert trace_file_digest(path) == digest
 
 
 def test_trace_names_pickle_to_worker_processes():
