@@ -129,24 +129,65 @@ class RunningStat:
 
     def add(self, value: float) -> None:
         """Fold one sample into the accumulator."""
-        if self.sample_limit > 0 and self.count % self._stride == 0:
-            self._samples.append(value)
-            if len(self._samples) > self.sample_limit:
-                self._samples = self._samples[::2]
+        # Each field is read and written once: telemetry histograms call
+        # this once per observation.
+        count = self.count
+        limit = self.sample_limit
+        if limit > 0 and count % self._stride == 0:
+            samples = self._samples
+            samples.append(value)
+            if len(samples) > limit:
+                self._samples = samples[::2]
                 self._stride *= 2
-        self.count += 1
-        delta = value - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (value - self.mean)
-        if self.minimum is None or value < self.minimum:
+        count += 1
+        self.count = count
+        mean = self.mean
+        delta = value - mean
+        mean += delta / count
+        self.mean = mean
+        self._m2 += delta * (value - mean)
+        minimum = self.minimum
+        if minimum is None or value < minimum:
             self.minimum = value
-        if self.maximum is None or value > self.maximum:
+        maximum = self.maximum
+        if maximum is None or value > maximum:
             self.maximum = value
 
     def extend(self, values: Iterable[float]) -> None:
-        """Fold many samples into the accumulator."""
+        """Fold many samples into the accumulator, in order.
+
+        Bit-identical to calling :meth:`add` once per value; the fields
+        live in locals for the whole batch.
+        """
+        count = self.count
+        mean = self.mean
+        m2 = self._m2
+        minimum = self.minimum
+        maximum = self.maximum
+        limit = self.sample_limit
+        samples = self._samples
+        stride = self._stride
         for value in values:
-            self.add(value)
+            if limit > 0 and count % stride == 0:
+                samples.append(value)
+                if len(samples) > limit:
+                    samples = samples[::2]
+                    stride *= 2
+            count += 1
+            delta = value - mean
+            mean += delta / count
+            m2 += delta * (value - mean)
+            if minimum is None or value < minimum:
+                minimum = value
+            if maximum is None or value > maximum:
+                maximum = value
+        self.count = count
+        self.mean = mean
+        self._m2 = m2
+        self.minimum = minimum
+        self.maximum = maximum
+        self._samples = samples
+        self._stride = stride
 
     @property
     def variance(self) -> float:

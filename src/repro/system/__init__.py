@@ -14,13 +14,12 @@
 
 from repro.system.config import CoreParameters, SystemConfig, TimingParameters
 from repro.system.eventlog import CoherenceEvent, EventLog
-from repro.system.machine import AccessOutcome, Machine, RequestPath
+from repro.system.machine import Machine, RequestPath
 from repro.system.node import ProcessorNode
 from repro.system.processor import TraceProcessor
 from repro.system.simulator import RunResult, Simulator
 
 __all__ = [
-    "AccessOutcome",
     "CoherenceEvent",
     "CoreParameters",
     "EventLog",

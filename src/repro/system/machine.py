@@ -35,6 +35,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.cache.l2 import L2Line
 from repro.coherence.line_states import LineState
 from repro.coherence.moesi import fill_state_for
 from repro.coherence.requests import RequestType
@@ -42,7 +43,6 @@ from repro.coherence.snoop import (
     EMPTY_LINE_RESPONSE,
     SNOOP_NOT_SHARED,
     SNOOP_SHARED,
-    LineSnoopResponse,
     SnoopResult,
     combine_line_responses,
 )
@@ -124,11 +124,19 @@ for _request in RequestType:
     _request.rp_base = _request.index * _NUM_PATHS
     #: Flat index of the request's Figure 2 oracle category.
     _request.category_index = _CATEGORY_OF[_request].index
+    #: The line state the request fills, indexed by the combined
+    #: response's ``shared`` bit.
+    _request.fill_states = (fill_state_for(_request, SNOOP_NOT_SHARED),
+                            fill_state_for(_request, SNOOP_SHARED))
 
-_NO_REQUEST_I = RequestPath.NO_REQUEST.index
-_DIRECT_I = RequestPath.DIRECT.index
-_TARGETED_I = RequestPath.TARGETED.index
-_BROADCAST_I = RequestPath.BROADCAST.index
+#: The demand latency's slot in the latency tables, after the
+#: (request, path) slots.
+_DEMAND_SLOT = _NUM_REQUEST_PATHS
+#: Latencies wait in plain lists and are folded into their RunningStat
+#: (one ``extend``, bit-identical to one ``add`` per sample) whenever a
+#: statistic is read, or once this many are pending, which bounds the
+#: lists.
+_FOLD_EVERY = 512
 _WRITEBACK_C = OracleCategory.WRITEBACK.index
 _REGION_STATES = tuple(RegionState)
 
@@ -141,15 +149,6 @@ def _move_class(cls: Dict[int, int], bits: int, old: int, new: int) -> None:
     else:
         del cls[old]
     cls[new] = cls.get(new, 0) | bits
-
-
-@dataclass(frozen=True, slots=True)
-class AccessOutcome:
-    """Result of one processor access (for tests and tracing)."""
-
-    path: RequestPath
-    latency: int
-    request: Optional[RequestType] = None
 
 
 class CategoryCounts:
@@ -270,7 +269,9 @@ class Machine:
     tracer, the sanitizer) only record; they never change which path
     runs. Machines with RegionScout/Jetty filters always run the
     per-peer phase-1 loop (those filters must observe every broadcast)
-    whatever ``snoop`` says.
+    whatever ``snoop`` says. The same choice picks the line fill: the
+    phase-1 fast path goes with a fused in-place L2 fill, the per-peer
+    loop with the ``node.fill_line`` reference.
     """
 
     def __init__(
@@ -313,10 +314,10 @@ class Machine:
         )
         self._perturb = random.Random(derive_seed(seed, "perturbation"))
         self._perturb_magnitude = config.timing.perturbation_cycles
-        # randint(0, m) reduces to _randbelow(m + 1) in CPython; binding
-        # the bound method skips the randint→randrange wrapper layers on
-        # every jittered request while drawing the identical stream.
-        self._randbelow = getattr(self._perturb, "_randbelow", None)
+        # The jitter draw reads getrandbits directly (see
+        # _external_request) instead of going through randint's wrappers.
+        self._getrandbits = self._perturb.getrandbits
+        self._jitter_bits = (self._perturb_magnitude + 1).bit_length()
         # Hoisted geometry/latency constants for the per-access paths:
         # plain instance slots instead of two-level attribute chains.
         self._line_shift = self.geometry._line_bits
@@ -415,16 +416,20 @@ class Machine:
         self._l1i_lookups = [n.l1i.lookup for n in self.nodes]
         # Accounting
         self.stats = ExternalRequestStats()
-        self.demand_latency = RunningStat()
         self.l1_hits = 0
         self.l2_hits = 0
         self.queue_cycles = 0
         # Flat (request × path) arrays behind the request_paths /
-        # path_latency property views.
+        # path_latency property views; the latency tables carry the
+        # demand latency in one more slot.
         self._request_path_counts: List[int] = [0] * _NUM_REQUEST_PATHS
-        self._path_latency_stats: List[Optional[RunningStat]] = (
-            [None] * _NUM_REQUEST_PATHS
+        self._latency_stats: List[Optional[RunningStat]] = (
+            [None] * _NUM_REQUEST_PATHS + [RunningStat()]
         )
+        self._latency_pending: List[List[int]] = [
+            [] for _ in range(_NUM_REQUEST_PATHS + 1)
+        ]
+        self._demand_pending = self._latency_pending[_DEMAND_SLOT]
         # Section 6 extension counters
         self.prefetches_filtered = 0
         self.dram_speculative_started = 0
@@ -459,7 +464,10 @@ class Machine:
         region callbacks are the array's defaults and are simply
         replaced. Every content change flows through these hooks — fills
         that only overwrite the state of a resident line fire nothing,
-        and need not: the holder bit is already set.
+        and need not: the holder bit is already set. The one exception is
+        the incoming line of a bitmask machine's fused fill
+        (``_external_request``), which applies ``line_allocated``'s
+        effects in place.
         """
         bit = 1 << node.proc_id
         holders = self._line_holders
@@ -754,14 +762,41 @@ class Machine:
         their first latency sample lands, as before.
         """
         out: Dict[Tuple[RequestType, RequestPath], RunningStat] = {}
-        flat = self._path_latency_stats
         for request in RequestType:
             base = request.rp_base
             for path in RequestPath:
-                stat = flat[base + path.index]
-                if stat is not None:
-                    out[request, path] = stat
+                index = base + path.index
+                if (self._latency_pending[index]
+                        or self._latency_stats[index] is not None):
+                    out[request, path] = self._fold_latencies(index)
         return out
+
+    @property
+    def demand_latency(self) -> RunningStat:
+        """RunningStat of demand load/store/ifetch latency beyond the L1."""
+        return self._fold_latencies(_DEMAND_SLOT)
+
+    def _fold_latencies(self, slot: int) -> RunningStat:
+        """Fold slot *slot*'s pending latencies into its RunningStat."""
+        stat = self._latency_stats[slot]
+        if stat is None:
+            stat = self._latency_stats[slot] = RunningStat()
+        pending = self._latency_pending[slot]
+        if pending:
+            stat.extend(pending)
+            pending.clear()
+        return stat
+
+    def _finish_demand(self, latency: int) -> None:
+        """Account one demand access's latency and close its trace span."""
+        demand = self._demand_pending
+        demand.append(latency)
+        if len(demand) >= _FOLD_EVERY:
+            self._fold_latencies(_DEMAND_SLOT)
+        if self._tel_demand_hist is not None:
+            self._tel_demand_hist.observe(latency)
+        if self._tracer is not None:
+            self._tracer.commit(latency)
 
     # ------------------------------------------------------------------
     # Processor-facing operations
@@ -787,11 +822,7 @@ class Machine:
         if self._tracer is not None:
             self._tracer.begin(proc, "load", address, now)
         latency = self._l2_data_access(proc, address, now, is_store=False)
-        self.demand_latency.add(latency)
-        if self._tel_demand_hist is not None:
-            self._tel_demand_hist.observe(latency)
-        if self._tracer is not None:
-            self._tracer.commit(latency)
+        self._finish_demand(latency)
         return latency
 
     def store(self, proc: int, address: int, now: int) -> int:
@@ -809,11 +840,7 @@ class Machine:
         if self._tracer is not None:
             self._tracer.begin(proc, "store", address, now)
         latency = self._l2_data_access(proc, address, now, is_store=True)
-        self.demand_latency.add(latency)
-        if self._tel_demand_hist is not None:
-            self._tel_demand_hist.observe(latency)
-        if self._tracer is not None:
-            self._tracer.commit(latency)
+        self._finish_demand(latency)
         return max(
             self._l1_hit_cycles,
             int(latency * self._store_stall_fraction),
@@ -841,15 +868,10 @@ class Machine:
             node.l1i.fill(address, writable=False)
             latency = self._l2_hit_cycles
         else:
-            outcome = self._external_request(
+            latency = self._l2_hit_cycles + self._external_request(
                 proc, RequestType.IFETCH, address, now, fill_l1i=True
             )
-            latency = self._l2_hit_cycles + outcome.latency
-        self.demand_latency.add(latency)
-        if self._tel_demand_hist is not None:
-            self._tel_demand_hist.observe(latency)
-        if self._tracer is not None:
-            self._tracer.commit(latency)
+        self._finish_demand(latency)
         return latency
 
     def dcbz(self, proc: int, address: int, now: int) -> int:
@@ -866,10 +888,9 @@ class Machine:
             node.l1d.fill(address, writable=True)
             self.l2_hits += 1
         else:
-            outcome = self._external_request(
+            external = self._external_request(
                 proc, RequestType.DCBZ, address, now, fill_l1d=True, l1_writable=True
             )
-            external = outcome.latency
         latency = self._l2_hit_cycles + external
         if self._tracer is not None:
             self._tracer.commit(latency)
@@ -903,8 +924,9 @@ class Machine:
                 self._emit_writeback(
                     proc, node.route_writeback_for_line(line), now
                 )
-        outcome = self._external_request(proc, request, address, now)
-        latency = self._l2_hit_cycles + outcome.latency
+        latency = self._l2_hit_cycles + self._external_request(
+            proc, request, address, now
+        )
         if self._tracer is not None:
             self._tracer.commit(latency)
         return max(
@@ -935,45 +957,34 @@ class Machine:
                 node.l1d.fill(address, writable=True)
             else:
                 # SHARED/OWNED copy: upgrade (invalidate other copies).
-                outcome = self._external_request(
+                external = self._external_request(
                     proc, RequestType.UPGRADE, address, now
                 )
-                external = outcome.latency
                 node.l1d.fill(address, writable=True)
         else:
             request = RequestType.RFO if is_store else RequestType.READ
-            outcome = self._external_request(
-                proc,
-                request,
-                address,
-                now,
-                fill_l1d=True,
+            external = self._external_request(
+                proc, request, address, now, fill_l1d=True,
                 l1_writable=is_store,
             )
-            external = outcome.latency
-        self._run_prefetcher(proc, line, is_store, was_miss, now)
+        if node.prefetcher is not None:
+            candidates = node.prefetcher.observe_access(line, is_store, was_miss)
+            if candidates:
+                self._issue_prefetches(proc, candidates, now)
         return self._l2_hit_cycles + external
 
-    def _run_prefetcher(
-        self, proc: int, line: int, is_store: bool, was_miss: bool, now: int
-    ) -> None:
-        node = self.nodes[proc]
-        if node.prefetcher is None:
-            return
-        candidates = node.prefetcher.observe_access(line, is_store, was_miss)
-        if not candidates:
-            return
+    def _issue_prefetches(self, proc: int, candidates, now: int) -> None:
+        """Issue the prefetcher's candidates that are not yet resident."""
         holders = self._line_holders
-        geometry = self.geometry
-        offset_bits = geometry.line_offset_bits
-        rca = node.rca
+        line_shift = self._line_shift
+        max_address = self.geometry._max_address
+        rca = self.nodes[proc].rca
         filtered = self._prefetch_region_filter and rca is not None
-        for candidate in candidates:
-            cline = candidate.line
+        for cline, exclusive in candidates:
             if (holders.get(cline, 0) >> proc) & 1:
                 continue  # already resident in this node's L2
-            address = cline << offset_bits
-            if not geometry.contains(address):
+            address = cline << line_shift
+            if address >= max_address:  # candidate lines are never negative
                 continue
             if filtered:
                 # Section 6: externally-dirty regions make poor prefetch
@@ -986,7 +997,7 @@ class Machine:
                     self.prefetches_filtered += 1
                     continue
             request = (
-                RequestType.PREFETCH_EX if candidate.exclusive else RequestType.PREFETCH
+                RequestType.PREFETCH_EX if exclusive else RequestType.PREFETCH
             )
             # Prefetches are non-blocking: effects and resource occupancy
             # are applied, the latency is not charged to the processor.
@@ -1004,182 +1015,281 @@ class Machine:
         fill_l1d: bool = False,
         fill_l1i: bool = False,
         l1_writable: bool = False,
-    ) -> AccessOutcome:
-        """Route one external request; apply all coherence effects.
+    ) -> int:
+        """Route one external request and apply all its coherence effects.
 
-        Returns the outcome with the external latency (beyond the L2
-        access the caller already charged). A small uniform jitter is
-        added to external requests (Alameldeen-style perturbation) so
-        repeated runs with different seeds explore different timing
-        interleavings; the jitter is charged as latency.
+        Returns the external latency (beyond the L2 access the caller
+        already charged). Routing picks the path — no request, direct
+        (CGCT, or a RegionScout NSRT hit), a targeted probe of the
+        predicted owner, or a broadcast — and every path then runs one
+        tail: tally the request and its latency, update the requestor's
+        region state, install the line and report to the observers.
+
+        A small uniform jitter is added to external requests
+        (Alameldeen-style perturbation) so repeated runs with different
+        seeds explore different timing interleavings; the jitter is
+        charged as latency on every path but no request.
         """
         jitter = 0
         magnitude = self._perturb_magnitude
         if magnitude:
             # Same stream as self._perturb.randint(0, magnitude): CPython
-            # randint(0, m) bottoms out in _randbelow(m + 1).
-            randbelow = self._randbelow
-            jitter = (
-                randbelow(magnitude + 1)
-                if randbelow is not None
-                else self._perturb.randint(0, magnitude)
-            )
+            # draws getrandbits((magnitude + 1).bit_length()) until the
+            # value is in range.
+            getrandbits = self._getrandbits
+            bits = self._jitter_bits
+            jitter = getrandbits(bits)
+            while jitter > magnitude:
+                jitter = getrandbits(bits)
             now += jitter
         node = self.nodes[proc]
-        category = request.category_index
+        rca = node.rca
         region = address >> self._region_shift
+        req_i = request.index
+        stats = self.stats
 
         entry = None
         state = RegionState.INVALID
-        sets = self._rca_sets_by_pid[proc]
-        if sets is not None:
+        if rca is not None:
             # Inlined RegionCoherenceArray.lookup — one pop/reinsert pair
-            # on the set dict plus the hit/miss counters, without the
-            # method call. Per-op on the routing path.
-            entries = sets[region & self._rca_set_mask]
+            # on the set dict plus the hit/miss counters.
+            entries = rca._sets[region & self._rca_set_mask]
             tag = region >> self._rca_set_bits
             entry = entries.pop(tag, None)
             if entry is None:
-                self._rcas_by_pid[proc].misses += 1
+                rca.misses += 1
             else:
                 entries[tag] = entry  # reinsertion makes it MRU
-                self._rcas_by_pid[proc].hits += 1
+                rca.hits += 1
                 state = entry.state
-        if self._tracer is not None and sets is not None:
-            self._tracer.rca(request, region, entry is not None, state, now)
-
-        if state.completes_without[request.index]:
-            self.stats.no_requests._counts[category] += 1
-            self._request_path_counts[request.rp_base + _NO_REQUEST_I] += 1
-            self._apply_local_fill(
-                proc, request, address,
-                fill_state=fill_state_for(request, SNOOP_NOT_SHARED),
-                region_response=None,
-                fill_l1d=fill_l1d, fill_l1i=fill_l1i, l1_writable=l1_writable,
-                now=now, region_entry=entry,
-            )
-            if self._log_enabled:
-                self._log_event(now, proc, request, RequestPath.NO_REQUEST,
-                                address, 0)
             if self._tracer is not None:
-                self._tracer.route(request, RequestPath.NO_REQUEST, address,
-                                   0, now)
-            return AccessOutcome(RequestPath.NO_REQUEST, 0, request)
+                self._tracer.rca(request, region, entry is not None, state,
+                                 now)
 
-        if node.rca is not None and not state.broadcast_needed[request.index]:
+        # Routing: each path sets its latency, the snoop result the line
+        # is filled from, and the counts the request is tallied in (a
+        # broadcast tallies itself, with the oracle's verdict).
+        region_response = None
+        fill_now = now
+        if state.completes_without[req_i]:
+            path = RequestPath.NO_REQUEST
+            latency = 0
+            combined = SNOOP_NOT_SHARED
+            tally = stats.no_requests
+        elif rca is not None and not state.broadcast_needed[req_i]:
+            path = RequestPath.DIRECT
             latency = self._direct_request(proc, request, address, entry, now)
-            self.stats.directs._counts[category] += 1
-            self._request_path_counts[request.rp_base + _DIRECT_I] += 1
-            self._note_latency(request, RequestPath.DIRECT, latency)
-            synthetic = SNOOP_NOT_SHARED if state.is_exclusive else SNOOP_SHARED
-            self._apply_local_fill(
-                proc, request, address,
-                fill_state=fill_state_for(request, synthetic),
-                region_response=None,
-                fill_l1d=fill_l1d, fill_l1i=fill_l1i, l1_writable=l1_writable,
-                now=now, region_entry=entry,
-            )
-            if self._log_enabled:
-                self._log_event(now, proc, request, RequestPath.DIRECT,
-                                address, latency)
-            if self._tracer is not None:
-                self._tracer.route(request, RequestPath.DIRECT, address,
-                                   latency, now)
-            return AccessOutcome(RequestPath.DIRECT, latency + jitter, request)
-
-        # RegionScout alternative (Section 2): an NSRT hit proves no other
-        # node caches lines of the region — route like a CGCT exclusive.
-        if (
+            combined = SNOOP_NOT_SHARED if state.is_exclusive else SNOOP_SHARED
+            tally = stats.directs
+        elif (
             node.regionscout is not None
             and request is not RequestType.WRITEBACK
             and node.regionscout.nsrt.contains(region)
         ):
+            # RegionScout alternative (Section 2): an NSRT hit proves no
+            # other node caches lines of the region — route like a CGCT
+            # exclusive.
+            combined = SNOOP_NOT_SHARED
             if request in (RequestType.UPGRADE, RequestType.DCBZ,
                            RequestType.DCBF, RequestType.DCBI):
-                self.stats.no_requests._counts[category] += 1
-                self._request_path_counts[request.rp_base + _NO_REQUEST_I] += 1
-                self._apply_local_fill(
-                    proc, request, address,
-                    fill_state=fill_state_for(request, SNOOP_NOT_SHARED),
-                    region_response=None,
-                    fill_l1d=fill_l1d, fill_l1i=fill_l1i,
-                    l1_writable=l1_writable, now=now,
+                path = RequestPath.NO_REQUEST
+                latency = 0
+                tally = stats.no_requests
+            else:
+                path = RequestPath.DIRECT
+                latency = self._direct_request(proc, request, address, None,
+                                               now)
+                tally = stats.directs
+        else:
+            latency = None
+            probe_penalty = 0
+            # Owner-prediction extension (Section 6): a read into an
+            # externally-dirty region first probes the predicted owner
+            # point-to-point; on a hit the broadcast is skipped entirely.
+            if (
+                self._owner_hints_on
+                and entry is not None
+                and state.is_externally_dirty
+                and entry.owner_hint is not None
+                and entry.owner_hint != proc
+                and request in (RequestType.READ, RequestType.IFETCH,
+                                RequestType.PREFETCH)
+            ):
+                predicted_owner = entry.owner_hint
+                latency = self._targeted_request(proc, request, address, entry)
+                if latency is None:
+                    # Wrong prediction: pay the probe's round trip, then
+                    # broadcast.
+                    probe_penalty = 2 * self._direct_to_proc[proc][
+                        predicted_owner]
+                else:
+                    path = RequestPath.TARGETED
+                    combined = SNOOP_SHARED
+                    tally = stats.directs
+            if latency is None:
+                path = RequestPath.BROADCAST
+                fill_now = now + probe_penalty
+                latency, combined, region_response = self._broadcast_request(
+                    proc, request, address, region, fill_now, state
                 )
-                if self._log_enabled:
-                    self._log_event(now, proc, request, RequestPath.NO_REQUEST,
-                                    address, 0)
-                if self._tracer is not None:
-                    self._tracer.route(request, RequestPath.NO_REQUEST,
-                                       address, 0, now)
-                return AccessOutcome(RequestPath.NO_REQUEST, 0, request)
-            latency = self._direct_request(proc, request, address, None, now)
-            self.stats.directs._counts[category] += 1
-            self._request_path_counts[request.rp_base + _DIRECT_I] += 1
-            self._note_latency(request, RequestPath.DIRECT, latency)
-            self._apply_local_fill(
-                proc, request, address,
-                fill_state=fill_state_for(request, SNOOP_NOT_SHARED),
-                region_response=None,
-                fill_l1d=fill_l1d, fill_l1i=fill_l1i, l1_writable=l1_writable,
-                now=now,
-            )
-            if self._log_enabled:
-                self._log_event(now, proc, request, RequestPath.DIRECT,
-                                address, latency)
-            if self._tracer is not None:
-                self._tracer.route(request, RequestPath.DIRECT, address,
-                                   latency, now)
-            return AccessOutcome(RequestPath.DIRECT, latency + jitter, request)
+                latency += probe_penalty
+                tally = None
 
-        # Owner-prediction extension (Section 6): a read into an
-        # externally-dirty region first probes the predicted owner
-        # point-to-point; on a hit the broadcast is skipped entirely.
-        probe_penalty = 0
-        if (
-            self.config.owner_prediction
-            and entry is not None
-            and state.is_externally_dirty
-            and entry.owner_hint is not None
-            and entry.owner_hint != proc
-            and request in (RequestType.READ, RequestType.IFETCH,
-                            RequestType.PREFETCH)
-        ):
-            predicted_owner = entry.owner_hint
-            targeted = self._targeted_request(
-                proc, request, address, entry, now,
-                fill_l1d=fill_l1d, fill_l1i=fill_l1i, l1_writable=l1_writable,
-            )
-            if targeted is not None:
-                return AccessOutcome(
-                    targeted.path, targeted.latency + jitter, request
-                )
-            # Wrong prediction: pay the probe's round trip, then broadcast.
-            probe_penalty = 2 * self._direct_to_proc[proc][predicted_owner]
-
-        latency = self._broadcast_request(
-            proc, request, address, now + probe_penalty,
-            fill_l1d=fill_l1d, fill_l1i=fill_l1i, l1_writable=l1_writable,
-            requestor_region_state=state, requestor_region_entry=entry,
-        )
-        latency += probe_penalty
-        self._request_path_counts[request.rp_base + _BROADCAST_I] += 1
-        self._note_latency(request, RequestPath.BROADCAST, latency)
-        if self._log_enabled:
-            self._log_event(now, proc, request, RequestPath.BROADCAST,
-                            address, latency)
-        if self._tracer is not None:
-            self._tracer.route(request, RequestPath.BROADCAST, address,
-                               latency, now)
-        return AccessOutcome(RequestPath.BROADCAST, latency + jitter, request)
-
-    def _note_latency(
-        self, request: RequestType, path: RequestPath, latency: int
-    ) -> None:
+        # The one tail every path shares.
+        if tally is not None:
+            tally._counts[request.category_index] += 1
         index = request.rp_base + path.index
-        stat = self._path_latency_stats[index]
-        if stat is None:
-            stat = self._path_latency_stats[index] = RunningStat()
-        stat.add(latency)
+        self._request_path_counts[index] += 1
+        if path is RequestPath.NO_REQUEST:
+            jitter = 0  # completed locally: nothing was delayed
+        else:
+            pending = self._latency_pending[index]
+            pending.append(latency)
+            if len(pending) >= _FOLD_EVERY:
+                self._fold_latencies(index)
+        fill_state = request.fill_states[combined.shared]
+
+        # Region state first: inclusion requires the entry to exist before
+        # the line is installed. Nothing on any path touches the
+        # requestor's RCA between the routing lookup and here, so the
+        # looked-up entry is used as-is.
+        if rca is not None and request is not RequestType.WRITEBACK:
+            current = entry.state if entry is not None else RegionState.INVALID
+            new_state = node.protocol.after_local_request(
+                current, request, fill_state, region_response
+            )
+            if entry is not None:
+                if new_state is not current:
+                    if self._inline_region_snoop:
+                        empty = 1 if entry.line_count == 0 else 0
+                        _move_class(
+                            self._region_classes[region], 1 << proc,
+                            (current.index << 1) | empty,
+                            (new_state.index << 1) | empty,
+                        )
+                    entry.state = new_state
+            elif new_state.is_valid and request.allocates_line:
+                home = (region >> self._region_home_shift) % self._region_home_mod
+                entries = rca._sets[region & self._rca_set_mask]
+                if self._inline_region_snoop and len(entries) < self._rca_ways:
+                    # Fused allocation: with a free way (the common case
+                    # by far — region evictions are rare) the insert is
+                    # one dict store, with the stats bump and the
+                    # on_region_tracked effects (tracker bit + class
+                    # mask, for a fresh entry: line_count 0, so the
+                    # empty variant of the state's class) applied
+                    # inline. A full set falls through to the canonical
+                    # two-step eviction conversation.
+                    entry = entries[region >> self._rca_set_bits] = (
+                        RegionEntry(region, new_state, home)
+                    )
+                    rca.allocations += 1
+                    pid_bit = 1 << proc
+                    trackers = self._region_trackers
+                    trackers[region] = trackers.get(region, 0) | pid_bit
+                    classes = self._region_classes
+                    cls = classes.get(region)
+                    if cls is None:
+                        cls = classes[region] = {}
+                    c = (new_state.index << 1) | 1
+                    cls[c] = cls.get(c, 0) | pid_bit
+                else:
+                    entry, writebacks = node.allocate_region(
+                        region, new_state, home
+                    )
+                    for writeback in writebacks:
+                        self._emit_writeback(proc, writeback, fill_now)
+
+        if request is RequestType.UPGRADE:
+            node.l2.set_state(address >> self._line_shift, LineState.MODIFIED)
+            if fill_l1d or node.l1d.state_of(address).is_valid:
+                node.l1d.upgrade(address)
+        elif request.allocates_line:
+            if self._bitmask_snoop:
+                # Fused fill: L2.fill plus the incoming line's residency
+                # callback as one in-place update of the L2 set, the
+                # holder bitmask, the line count of the entry routing
+                # looked up (or just allocated) and, on an empty →
+                # non-empty crossing, the class masks. A victim leaves
+                # through the residency callback as usual. node.fill_line
+                # is the reference (walk and filtered machines).
+                l2 = node.l2
+                line = address >> self._line_shift
+                entries = l2._sets[line & l2._set_mask]
+                tag = line >> l2._set_bits
+                resident = entries.pop(tag, None)
+                writebacks = ()
+                if resident is not None:
+                    entries[tag] = resident  # MRU promotion, as on any hit
+                    resident.state = fill_state
+                else:
+                    victim = None
+                    if len(entries) >= l2._ways:
+                        victim = entries.pop(next(iter(entries)))  # LRU
+                        l2.evictions += 1
+                        if victim.state.is_dirty:
+                            l2.writebacks += 1
+                        l2.on_line_removed(victim.line)
+                    entries[tag] = L2Line(line, fill_state)
+                    l2.fills += 1
+                    holders = self._line_holders
+                    holders[line] = holders.get(line, 0) | (1 << proc)
+                    if entry is not None:
+                        count = entry.line_count + 1
+                        entry.line_count = count
+                        if count == 1:
+                            c = (entry.state.index << 1) | 1
+                            _move_class(self._region_classes[region],
+                                        1 << proc, c, c ^ 1)
+                        elif count > rca._lines_per_region:
+                            raise ProtocolError(
+                                f"region {region:#x} line count {count} "
+                                f"exceeds {rca._lines_per_region} lines "
+                                "per region"
+                            )
+                    elif rca is not None:
+                        raise ProtocolError(
+                            f"L2 allocated line {line:#x} with no region "
+                            "entry; region⊇cache inclusion violated"
+                        )
+                    if victim is not None:
+                        node.l1d.back_invalidate(victim.line)
+                        node.l1i.back_invalidate(victim.line)
+                        if victim.state.is_dirty:
+                            writebacks = (
+                                node.route_writeback_for_line(victim.line),
+                            )
+                if fill_l1d:
+                    node.l1d.fill(address, l1_writable)
+                if fill_l1i:
+                    node.l1i.fill(address, False)
+            else:
+                writebacks = node.fill_line(
+                    address, fill_state, fill_l1d=fill_l1d,
+                    fill_l1i=fill_l1i, l1_writable=l1_writable,
+                )
+            if self._tracer is not None:
+                self._tracer.fill(fill_now, fill_state.name, len(writebacks))
+            for writeback in writebacks:
+                self._emit_writeback(proc, writeback, fill_now)
+
+        # Remember who owned the region's dirty data (owner prediction).
+        # Advisory and unread unless the Section 6 extension is on; only
+        # a broadcast's combined response can name an owner.
+        if (
+            self._owner_hints_on
+            and rca is not None
+            and combined.owned
+            and combined.supplier is not None
+        ):
+            updated = rca.probe(region)
+            if updated is not None:
+                updated.owner_hint = combined.supplier
+        if self._log_enabled:
+            self._log_event(now, proc, request, path, address, latency)
+        if self._tracer is not None:
+            self._tracer.route(request, path, address, latency, now)
+        return latency + jitter
 
     def _direct_request(
         self,
@@ -1210,24 +1320,19 @@ class Machine:
         proc: int,
         request: RequestType,
         address: int,
+        region: int,
         now: int,
-        fill_l1d: bool = False,
-        fill_l1i: bool = False,
-        l1_writable: bool = False,
-        requestor_region_state: RegionState = RegionState.INVALID,
-        requestor_region_entry=None,
-    ) -> int:
+        requestor_region_state: RegionState,
+    ) -> Tuple[int, SnoopResult, Optional[RegionSnoopResponse]]:
         """The conventional snooping path, plus region-response handling.
 
-        ``requestor_region_state`` / ``requestor_region_entry`` are the
-        requestor's own RCA state and entry for the address's region,
-        already looked up by the caller (nothing between that lookup and
-        this call can touch the requestor's RCA, so re-probing would read
-        the same entry).
+        Returns the latency, the combined line response and the combined
+        region response (``None`` without CGCT); the caller installs the
+        line. ``requestor_region_state`` is the requestor's own region
+        state, already looked up by the caller.
         """
         node = self.nodes[proc]
         line = address >> self._line_shift
-        region = address >> self._region_shift
         category = request.category_index
 
         grant = self.bus.broadcast(now)
@@ -1288,7 +1393,9 @@ class Machine:
                 if wrote_back:
                     home = self.address_map.home_of(address)
                     self.controllers[home].write_back(snoop_done)
-        combined = combine_line_responses(responses)
+        # No answer at all combines to "not shared", the common case.
+        combined = (combine_line_responses(responses) if responses
+                    else SNOOP_NOT_SHARED)
 
         # RegionScout: a broadcast that found the region in no remote CRH
         # records it as globally non-shared.
@@ -1494,28 +1601,7 @@ class Machine:
         # region onto this broadcast.
         if node.rca is not None and self.config.region_state_prefetch:
             self._prefetch_region_state(node, region + 1)
-
-        # Local effects.
-        fill_state = fill_state_for(request, combined)
-        self._apply_local_fill(
-            proc, request, address,
-            fill_state=fill_state,
-            region_response=region_response,
-            fill_l1d=fill_l1d, fill_l1i=fill_l1i, l1_writable=l1_writable,
-            now=now, region_entry=requestor_region_entry,
-        )
-        # Remember who owned the region's dirty data (owner prediction).
-        # Advisory and unread unless the Section 6 extension is on.
-        if (
-            self._owner_hints_on
-            and node.rca is not None
-            and combined.owned
-            and combined.supplier is not None
-        ):
-            updated = node.rca.probe(region)
-            if updated is not None:
-                updated.owner_hint = combined.supplier
-        return latency
+        return latency, combined, region_response
 
     def _record_region_snoop(
         self, cls: Dict[int, int], observers: int, holders: int,
@@ -1596,24 +1682,17 @@ class Machine:
         return response
 
     def _targeted_request(
-        self,
-        proc: int,
-        request: RequestType,
-        address: int,
-        entry,
-        now: int,
-        fill_l1d: bool = False,
-        fill_l1i: bool = False,
-        l1_writable: bool = False,
-    ) -> Optional[AccessOutcome]:
+        self, proc: int, request: RequestType, address: int, entry
+    ) -> Optional[int]:
         """Probe the predicted owner point-to-point (Section 6 extension).
 
         Only non-invalidating reads are eligible (invalidating requests
         must reach every cache). A hit sources the data cache-to-cache
-        without a broadcast; a miss clears the hint and returns ``None``
-        so the caller falls back to the conventional path. Either way the
-        probe's line snoop is an ordinary coherent snoop — a wrong probe
-        may demote the target's copy, which is conservative, not wrong.
+        without a broadcast and returns its latency; a miss clears the
+        hint and returns ``None`` so the caller falls back to the
+        conventional path. Either way the probe's line snoop is an
+        ordinary coherent snoop — a wrong probe may demote the target's
+        copy, which is conservative, not wrong.
         """
         owner = entry.owner_hint
         target = self.nodes[owner]
@@ -1627,33 +1706,11 @@ class Machine:
         self.targeted_hits += 1
         self.c2c_transfers += 1
         self._snoop_region_mirrored(target, region, request, requestor=proc)
-        latency = (
+        return (
             self._direct_to_proc[proc][owner]
             + self._cache_access_cycles
             + self._transfer_to_proc[proc][owner]
         )
-        self.stats.directs._counts[request.category_index] += 1
-        self._request_path_counts[request.rp_base + _TARGETED_I] += 1
-        self._note_latency(request, RequestPath.TARGETED, latency)
-        self._apply_local_fill(
-            proc, request, address,
-            fill_state=fill_state_for(request, SNOOP_SHARED),
-            region_response=None,
-            fill_l1d=fill_l1d, fill_l1i=fill_l1i, l1_writable=l1_writable,
-            now=now, region_entry=entry,
-        )
-        if self._log_enabled:
-            self._log_event(now, proc, request, RequestPath.TARGETED,
-                            address, latency)
-        if self._tracer is not None:
-            self._tracer.route(request, RequestPath.TARGETED, address,
-                               latency, now)
-        return AccessOutcome(RequestPath.TARGETED, latency, request)
-
-    @staticmethod
-    def _requestor_region_state(node, region: int) -> RegionState:
-        entry = node.rca.probe(region) if node.rca is not None else None
-        return entry.state if entry is not None else RegionState.INVALID
 
     def _broadcast_latency(
         self,
@@ -1789,104 +1846,8 @@ class Machine:
         return None
 
     # ------------------------------------------------------------------
-    # Local fills and region-state maintenance
+    # Castouts
     # ------------------------------------------------------------------
-    def _apply_local_fill(
-        self,
-        proc: int,
-        request: RequestType,
-        address: int,
-        fill_state: LineState,
-        region_response: Optional[RegionSnoopResponse],
-        fill_l1d: bool,
-        fill_l1i: bool,
-        l1_writable: bool,
-        now: int,
-        region_entry=None,
-    ) -> None:
-        """Install the line locally and update the requestor's region state.
-
-        ``region_entry`` is the requestor's RCA entry for the address's
-        region as looked up at routing time (``None`` when untracked);
-        nothing on any routing path touches the requestor's RCA between
-        that lookup and this call, so it is used as-is instead of
-        re-probing.
-        """
-        node = self.nodes[proc]
-        line = address >> self._line_shift
-        region = address >> self._region_shift
-
-        # Region state first: inclusion requires the entry to exist before
-        # the L2 fill's allocation callback fires.
-        rca = node.rca
-        if rca is not None and request is not RequestType.WRITEBACK:
-            entry = region_entry
-            current = entry.state if entry is not None else RegionState.INVALID
-            new_state = node.protocol.after_local_request(
-                current, request, fill_state, region_response
-            )
-            if entry is not None:
-                if new_state is not current:
-                    if self._inline_region_snoop:
-                        empty = 1 if entry.line_count == 0 else 0
-                        _move_class(
-                            self._region_classes[region], 1 << proc,
-                            (current.index << 1) | empty,
-                            (new_state.index << 1) | empty,
-                        )
-                    entry.state = new_state
-            elif new_state.is_valid and request.allocates_line:
-                home = (region >> self._region_home_shift) % self._region_home_mod
-                allocated_fast = False
-                if self._inline_region_snoop:
-                    # Fused allocation: with a free way (the common case
-                    # by far — region evictions are rare) the insert is
-                    # one dict store, with the stats bump and the
-                    # on_region_tracked effects (tracker bit + class
-                    # mask, for a fresh entry: line_count 0, so the
-                    # empty variant of the state's class) applied
-                    # inline. A full set falls through to the canonical
-                    # two-step eviction conversation.
-                    entries = self._rca_sets_by_pid[proc][
-                        region & self._rca_set_mask]
-                    if len(entries) < self._rca_ways:
-                        entries[region >> self._rca_set_bits] = RegionEntry(
-                            region, new_state, home
-                        )
-                        rca.allocations += 1
-                        pid_bit = 1 << proc
-                        trackers = self._region_trackers
-                        trackers[region] = trackers.get(region, 0) | pid_bit
-                        classes = self._region_classes
-                        cls = classes.get(region)
-                        if cls is None:
-                            cls = classes[region] = {}
-                        c = (new_state.index << 1) | 1
-                        cls[c] = cls.get(c, 0) | pid_bit
-                        allocated_fast = True
-                if not allocated_fast:
-                    _entry, writebacks = node.allocate_region(
-                        region, new_state, home
-                    )
-                    for writeback in writebacks:
-                        self._emit_writeback(proc, writeback, now)
-
-        if request is RequestType.UPGRADE:
-            node.l2.set_state(line, LineState.MODIFIED)
-            if fill_l1d or node.l1d.state_of(address).is_valid:
-                node.l1d.upgrade(address)
-            return
-        if not request.allocates_line:
-            return
-        writebacks = node.fill_line(
-            address, fill_state,
-            fill_l1d=fill_l1d, fill_l1i=fill_l1i, l1_writable=l1_writable,
-        )
-        if self._tracer is not None:
-            self._tracer.fill(now, fill_state.name, len(writebacks))
-        for writeback in writebacks:
-            self._emit_writeback(proc, writeback, now)
-
     def _emit_writeback(
         self, proc: int, writeback: PendingWriteback, now: int
     ) -> None:
@@ -2129,12 +2090,13 @@ class Machine:
         only the measurements restart.
         """
         self.stats = ExternalRequestStats()
-        self.demand_latency = RunningStat()
         self.l1_hits = 0
         self.l2_hits = 0
         self.queue_cycles = 0
         self._request_path_counts = [0] * _NUM_REQUEST_PATHS
-        self._path_latency_stats = [None] * _NUM_REQUEST_PATHS
+        self._latency_stats = [None] * _NUM_REQUEST_PATHS + [RunningStat()]
+        for pending in self._latency_pending:  # in place: see __init__
+            pending.clear()
         self.prefetches_filtered = 0
         self.dram_speculative_started = 0
         self.dram_speculative_wasted = 0

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.cache.l1 import L1Cache
-from repro.cache.l2 import EvictedLine, L2Cache
+from repro.cache.l2 import L2Cache
 from repro.coherence.line_states import LineState
 from repro.coherence.moesi import snoop_transition
 from repro.coherence.requests import RequestType
@@ -156,15 +156,12 @@ class ProcessorNode:
         if victim is not None:
             self._drop_from_l1s(victim.line)
             if victim.needs_writeback:
-                writebacks.append(self._route_writeback(victim))
+                writebacks.append(self.route_writeback_for_line(victim.line))
         if fill_l1d:
             self.l1d.fill(address, writable=l1_writable)
         if fill_l1i:
             self.l1i.fill(address, writable=False)
         return writebacks
-
-    def _route_writeback(self, victim: EvictedLine) -> PendingWriteback:
-        return self.route_writeback_for_line(victim.line)
 
     def route_writeback_for_line(self, line: int) -> PendingWriteback:
         """Route a castout of *line* using the region's recorded home MC.

@@ -192,3 +192,30 @@ class TestRunningStatPercentiles:
         assert merged.count == combined.count
         assert merged.mean == pytest.approx(combined.mean)
         assert merged.variance == pytest.approx(combined.variance)
+
+
+def _fields(stat):
+    return (stat.count, stat.mean, stat._m2, stat.minimum, stat.maximum,
+            stat._samples, stat._stride)
+
+
+class TestRunningStatBatchFold:
+    """``extend`` folds a batch in locals; it must equal one ``add`` per
+    sample bit for bit, moments, extrema and retained samples alike."""
+
+    @given(
+        batches=st.lists(
+            st.lists(st.one_of(st.integers(0, 5000),
+                               st.floats(-1e6, 1e6)), max_size=40),
+            max_size=8,
+        ),
+        sample_limit=st.sampled_from([0, 1, 4, 1024]),
+    )
+    def test_extend_equals_repeated_add(self, batches, sample_limit):
+        folded = RunningStat(sample_limit=sample_limit)
+        added = RunningStat(sample_limit=sample_limit)
+        for batch in batches:
+            folded.extend(batch)
+            for value in batch:
+                added.add(value)
+            assert _fields(folded) == _fields(added)

@@ -1,5 +1,7 @@
 """Odds and ends: error hierarchy, less-travelled node/machine paths."""
 
+import random
+
 import pytest
 
 from repro.coherence.line_states import L1State, LineState
@@ -10,6 +12,7 @@ from repro.common.errors import (
     ProtocolError,
     SimulationError,
 )
+from repro.common.rng import derive_seed
 from repro.system.machine import Machine
 from repro.system.node import ProcessorNode
 
@@ -57,6 +60,24 @@ class TestNodeOddPaths:
         response = node.probe_region_response(5)
         assert not response.cached
         assert node.rca.probe(5) is not None  # not self-invalidated
+
+
+class TestJitter:
+    @pytest.mark.parametrize("magnitude", [1, 2, 7, 8, 20, 31, 32, 100])
+    def test_jitter_draws_the_randint_stream(self, magnitude):
+        # The machine reads getrandbits directly; the jitter it charges
+        # must still be the stream randint(0, magnitude) would draw. Each
+        # load is a cold miss on an idle machine, so its latency is the
+        # unjittered machine's plus exactly one draw.
+        plain = Machine(make_config(cgct=False, perturbation=0), seed=3)
+        jittered = Machine(make_config(cgct=False, perturbation=magnitude),
+                           seed=3)
+        expected = random.Random(derive_seed(3, "perturbation"))
+        for i in range(200):
+            address = 0x100000 + i * 4096
+            now = i * 1_000_000
+            drawn = jittered.load(0, address, now) - plain.load(0, address, now)
+            assert drawn == expected.randint(0, magnitude)
 
 
 class TestMachineOddPaths:

@@ -11,7 +11,10 @@ indistinguishable: same cycles, same stats, same per-node snoop
 counters, same telemetry (the region-transition matrix included) — on
 hand-built traces, on randomized traces, on every benchmark ×
 perf-config × seed cell of the matrix, and at 16 processors where
-holder sets are widest.
+holder sets are widest. The same toggle picks the fill: bitmask
+machines install lines with a fused in-place update, walk machines run
+``node.fill_line``, and TestFusedFillEquivalence holds the two equal
+under fill pressure.
 """
 
 import pytest
@@ -20,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.harness.perfbench import PERF_CONFIGS, bench_config
 from repro.interconnect.topology import Topology
-from repro.system.machine import Machine
+from repro.system.machine import Machine, OracleCategory
 from repro.system.simulator import Simulator
 from repro.telemetry.registry import TelemetryRegistry
 from repro.workloads.benchmarks import BENCHMARKS, build_benchmark
@@ -379,3 +382,118 @@ class TestInlineRegionSnoopEquivalence:
     def test_randomized_traces(self, data, seed):
         config = make_config(cgct=True, rca_sets=8, perturbation=6)
         self._compare(config, multitrace(data), seed=seed)
+
+
+def streaming_workload(procs=4, lines=160):
+    """Each processor loads and stores through a run of lines that
+    overlaps its neighbour's, ascending on even processors and
+    descending on odd ones: prefetch streams in both directions, shared
+    regions, and a dirty victim on most fills of a small L2."""
+    per_proc = []
+    for proc in range(procs):
+        base = 0x80000 + proc * (lines // 2) * 64
+        addresses = [base + i * 64 for i in range(lines)]
+        if proc % 2:
+            addresses.reverse()
+        per_proc.append([
+            (TraceOp.STORE if i % 3 else TraceOp.LOAD, address, 2 + proc)
+            for i, address in enumerate(addresses)
+        ])
+    return multitrace(per_proc)
+
+
+def moments(stat):
+    """A RunningStat's moments and percentiles, bit for bit."""
+    return (
+        stat.count, stat.mean, stat.minimum, stat.maximum, stat.variance,
+        [stat.percentile(p) for p in (0, 10, 25, 50, 75, 90, 99, 100)],
+    )
+
+
+def fill_state(machine):
+    """Everything the fused fill writes, and the latency moments the
+    external-request tail feeds."""
+    return {
+        "l2": [(n.l2.fills, n.l2.evictions, n.l2.writebacks)
+               for n in machine.nodes],
+        "rca_allocations": [n.rca.allocations for n in machine.nodes
+                            if n.rca is not None],
+        "line_counts": [
+            sorted((e.region, e.state, e.line_count) for e in n.rca.entries())
+            for n in machine.nodes if n.rca is not None
+        ],
+        "holders": dict(machine._line_holders),
+        "trackers": dict(machine._region_trackers),
+        "path_latency": {key: moments(stat)
+                         for key, stat in machine.path_latency.items()},
+        "demand_latency": moments(machine.demand_latency),
+    }
+
+
+class TestFusedFillEquivalence:
+    """The fused L2 fill ≡ ``node.fill_line`` / ``L2.fill``, bit for bit.
+
+    A bitmask machine installs a line with one in-place update of the L2
+    set, the holder bitmask, the routing entry's line count and the
+    class masks; a walk machine runs ``node.fill_line`` and the
+    residency callbacks. A small L2 with prefetching on makes most fills
+    evict a dirty victim; an RCA smaller than the L2 instead forces
+    lines out with their regions. The write-backs are routed on the
+    CGCT machines and broadcast on the baseline one.
+    """
+
+    PRESSURE = dict(l2_bytes=4 * 1024, prefetch=True,
+                    prefetch_region_filter=True, perturbation=12)
+
+    def _compare(self, config, workload, seed):
+        walk = run_with("walk", config, workload, seed, telemetry=True)
+        fast = run_with("bitmask", config, workload, seed, telemetry=True)
+        walk_machine, fast_machine = walk[0].machine, fast[0].machine
+        assert fast_machine._bitmask_snoop
+        assert not walk_machine._bitmask_snoop
+        assert fingerprint(*walk) == fingerprint(*fast)
+        assert fill_state(walk_machine) == fill_state(fast_machine)
+        walk_machine.check_coherence_invariants()
+        fast_machine.check_coherence_invariants()
+        return fast_machine
+
+    @staticmethod
+    def _victims(machine):
+        """(fill victims, lines forced out with their regions)."""
+        forced = sum(n.l2.region_forced_evictions for n in machine.nodes)
+        return sum(n.l2.evictions for n in machine.nodes) - forced, forced
+
+    def test_cgct_fill_victims_route_write_backs(self):
+        # The RCA covers more lines than the L2: victims leave through
+        # the fill, and regions are evicted once the stream drains them.
+        config = make_config(cgct=True, rca_sets=8, **self.PRESSURE)
+        for seed in (0, 1):
+            machine = self._compare(config, streaming_workload(), seed)
+            assert self._victims(machine)[0] > 0
+            assert machine.stats.directs[OracleCategory.WRITEBACK] > 0
+            assert sum(n.rca.evictions for n in machine.nodes) > 0
+            assert machine.prefetches_filtered > 0
+            audit_masks(machine)
+
+    def test_cgct_region_evictions_force_lines_out(self):
+        # The RCA covers fewer lines than the L2: region evictions force
+        # resident (often dirty) lines out before the fill needs a way.
+        config = make_config(cgct=True, rca_sets=4, **self.PRESSURE)
+        machine = self._compare(config, streaming_workload(), seed=0)
+        assert self._victims(machine)[1] > 0
+        assert machine.stats.directs[OracleCategory.WRITEBACK] > 0
+        audit_masks(machine)
+
+    def test_baseline_fill_victims_broadcast_write_backs(self):
+        config = make_config(cgct=False, **self.PRESSURE)
+        machine = self._compare(config, streaming_workload(), seed=0)
+        assert self._victims(machine)[0] > 0
+        assert machine.stats.broadcasts[OracleCategory.WRITEBACK] > 0
+
+    def test_benchmark_trace_under_pressure(self):
+        config = make_config(cgct=True, rca_sets=8, **self.PRESSURE)
+        trace = build_benchmark(
+            "tpc-w", num_processors=4, ops_per_processor=600, seed=0
+        )
+        machine = self._compare(config, trace, seed=2)
+        assert self._victims(machine)[0] > 0
